@@ -87,6 +87,7 @@ from .regressor import (
     TrainResult,
     build_network,
     draw_mask,
+    draw_masks,
     feature_embedding,
     forward,
     forward_aux,

@@ -189,8 +189,8 @@ def read_sample_dump(path: str | os.PathLike) -> tuple[str, PoseSampleSet]:
     head = lines[0].strip().lstrip("# ").split()
     if not head or head[0] != SAMPLE_DUMP_FORMAT:
         raise ParseError(f"expected header tag {SAMPLE_DUMP_FORMAT!r}", line=1)
-    meta = dict(kv.split("=", 1) for kv in head[1:])
     try:
+        meta = dict(kv.split("=", 1) for kv in head[1:])
         query_id = meta["query_id"]
         count = int(meta["num_samples"])
         master_seed = int(meta["master_seed"])
@@ -199,7 +199,7 @@ def read_sample_dump(path: str | os.PathLike) -> tuple[str, PoseSampleSet]:
 
     positions = np.empty((count, 3))
     quaternions = np.empty((count, 4))
-    seen = 0
+    seen = np.zeros(count, dtype=bool)
     for lineno, raw in enumerate(lines[1:], start=2):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -214,9 +214,11 @@ def read_sample_dump(path: str | os.PathLike) -> tuple[str, PoseSampleSet]:
             raise ParseError(str(e), line=lineno) from e
         if not (0 <= idx < count):
             raise ParseError(f"sample index {idx} out of range [0, {count})", line=lineno)
+        if seen[idx]:
+            raise ParseError(f"sample index {idx} appears twice", line=lineno)
+        seen[idx] = True
         positions[idx] = values[:3]
         quaternions[idx] = values[3:]
-        seen += 1
-    if seen != count:
-        raise ParseError(f"header promised {count} samples but file has {seen}")
+    if not seen.all():
+        raise ParseError(f"header promised {count} samples but file has {int(seen.sum())}")
     return query_id, PoseSampleSet(positions, quaternions, count, master_seed)

@@ -6,6 +6,9 @@ dropped with probability p, and surviving activations are scaled by
 1 / (1 - p), so the maskless forward pass needs no weight rescaling.
 Masks are pure functions of (master_seed, sample_index); training and
 Monte Carlo sampling are therefore exactly reproducible.
+Masks are arrays inside the module (``draw_masks``, one row per pass);
+``DropoutMask`` cuts a row into vectors at the API edge.  One layer loop
+serves every pass, and ``train`` stacks the dataset into arrays once.
 """
 
 from __future__ import annotations
@@ -91,9 +94,6 @@ class NetworkParams:
     def input_width(self) -> int:
         return self.layers[0].spec.input_width
 
-    def dropout_layer_indices(self) -> list[int]:
-        return [i for i, layer in enumerate(self.layers) if layer.spec.has_dropout]
-
     def copy(self) -> "NetworkParams":
         layers = [Layer(l.spec, l.weights.copy(), l.bias.copy()) for l in self.layers]
         aux = None
@@ -154,17 +154,8 @@ class TrainResult:
     epoch_losses: list[float]
 
 
-def build_network(
-    specs: Sequence[LayerSpec],
-    dropout_p: float,
-    seed: int,
-    aux_after: int | None = None,
-) -> NetworkParams:
-    """Initialize a network with uniform Glorot weights and zero biases.
-
-    Weight entries are drawn from U(-a, a) with a = sqrt(6 / (fan_in +
-    fan_out)).  The final layer must be identity with width POSE_WIDTH.
-    """
+def _check_architecture(specs: Sequence[LayerSpec], dropout_p: float, aux_after: int | None) -> None:
+    """Raise unless the layers, dropout rate and aux tap form a valid network."""
     if len(specs) == 0:
         raise InvalidArchitecture("need at least one layer")
     for prev, nxt in zip(specs, specs[1:]):
@@ -190,6 +181,20 @@ def build_network(
             f"aux_after must name a hidden layer in [0, {len(specs) - 2}], got {aux_after}"
         )
 
+
+def build_network(
+    specs: Sequence[LayerSpec],
+    dropout_p: float,
+    seed: int,
+    aux_after: int | None = None,
+) -> NetworkParams:
+    """Initialize a network with uniform Glorot weights and zero biases.
+
+    Weight entries are drawn from U(-a, a) with a = sqrt(6 / (fan_in +
+    fan_out)).  The final layer must be identity with width POSE_WIDTH.
+    """
+    _check_architecture(specs, dropout_p, aux_after)
+
     rng = derive_rng(seed)
     layers = []
     for spec in specs:
@@ -209,22 +214,48 @@ def build_network(
     return NetworkParams(layers, float(dropout_p), int(seed), aux)
 
 
+def _mask_widths(net: NetworkParams) -> list[int]:
+    """Mask vector lengths of one pass: dropout layers in order, then the aux head."""
+    widths = [layer.spec.input_width for layer in net.layers if layer.spec.has_dropout]
+    if net.aux is not None and net.aux.has_dropout:
+        widths.append(net.aux.weights.shape[1])
+    return widths
+
+
+def _split_masks(net: NetworkParams, block: np.ndarray) -> list[np.ndarray]:
+    """Views of a mask row or block, one per entry of _mask_widths."""
+    vectors, lo = [], 0
+    for width in _mask_widths(net):
+        vectors.append(block[..., lo : lo + width])
+        lo += width
+    return vectors
+
+
+def draw_masks(net: NetworkParams, master_seed: int, start: int, count: int) -> np.ndarray:
+    """Keep/drop patterns of passes start, ..., start + count - 1 as one block.
+
+    Row j holds pass start + j's vectors end to end (dropout layers in
+    order, then the aux head), all drawn from the one stream keyed by
+    (master_seed, start + j); 0 drops the unit, 1 keeps it.
+    """
+    total = sum(_mask_widths(net))
+    block = np.empty((count, total))
+    for j in range(count):
+        derive_rng(master_seed, start + j).random(out=block[j])
+    return (block >= net.dropout_p).astype(float)
+
+
 def draw_mask(net: NetworkParams, master_seed: int, sample_index: int) -> DropoutMask:
     """Draw the keep/drop pattern for one stochastic pass.
 
     A pure function of (master_seed, sample_index): the same pair always
     yields the same mask regardless of how calls are ordered or batched.
+    It is the one-row view of :func:`draw_masks`.
     """
-    rng = derive_rng(master_seed, sample_index)
-    p = net.dropout_p
-    layer_masks = []
-    for layer in net.layers:
-        if layer.spec.has_dropout:
-            layer_masks.append((rng.random(layer.spec.input_width) >= p).astype(float))
-    aux_mask = None
+    vectors = _split_masks(net, draw_masks(net, master_seed, sample_index, 1)[0])
     if net.aux is not None and net.aux.has_dropout:
-        aux_mask = (rng.random(net.aux.weights.shape[1]) >= p).astype(float)
-    return DropoutMask(tuple(layer_masks), aux_mask)
+        return DropoutMask(tuple(vectors[:-1]), vectors[-1])
+    return DropoutMask(tuple(vectors))
 
 
 def _check_input(net: NetworkParams, x) -> np.ndarray:
@@ -234,40 +265,47 @@ def _check_input(net: NetworkParams, x) -> np.ndarray:
     return arr
 
 
-def _check_mask(net: NetworkParams, mask: DropoutMask | None) -> DropoutMask | None:
-    if mask is None:
-        return None
-    indices = net.dropout_layer_indices()
-    if len(mask.layer_masks) != len(indices):
-        raise ShapeMismatch(
-            f"mask has {len(mask.layer_masks)} layer vectors, network has {len(indices)} dropout layers"
-        )
-    for vec, idx in zip(mask.layer_masks, indices):
-        want = net.layers[idx].spec.input_width
-        if vec.shape != (want,):
-            raise ShapeMismatch(f"mask vector shape {vec.shape} does not fit layer {idx} input ({want},)")
-    if net.aux is not None and net.aux.has_dropout:
-        if mask.aux_mask is None:
-            raise ShapeMismatch("network has an aux head with dropout but the mask has no aux vector")
-        want = net.aux.weights.shape[1]
-        if mask.aux_mask.shape != (want,):
-            raise ShapeMismatch(f"aux mask shape {mask.aux_mask.shape} does not fit head input ({want},)")
-    return mask
+def _mask_vectors(net: NetworkParams, mask: DropoutMask) -> tuple[np.ndarray, ...]:
+    """A mask's vectors in draw_masks order, checked against the network."""
+    aux = (mask.aux_mask,) if net.aux is not None and net.aux.has_dropout else ()
+    vectors = tuple(mask.layer_masks) + aux
+    shapes = [getattr(v, "shape", None) for v in vectors]
+    if shapes != [(w,) for w in _mask_widths(net)]:
+        raise ShapeMismatch(f"mask vector shapes {shapes} do not fit dropout inputs {_mask_widths(net)}")
+    return vectors
+
+
+def _propagate(net: NetworkParams, a: np.ndarray, layers: Sequence[Layer], masks, trace=None) -> np.ndarray:
+    """The layer loop behind every pass, on one input row or a batch of rows.
+
+    ``masks`` (or None) holds one vector or block per dropout layer among
+    ``layers``.  ``trace`` collects (input, pre-activation, activation).
+    """
+    scale = 1.0 / (1.0 - net.dropout_p)
+    mi = 0
+    for layer in layers:
+        if layer.spec.has_dropout and masks is not None:
+            a = a * masks[mi] * scale
+            mi += 1
+        z = a @ layer.weights.T + layer.bias
+        a_out = np.maximum(z, 0.0) if layer.spec.activation == "relu" else z
+        if trace is not None:
+            trace.append((a, z, a_out))
+        a = a_out
+    return a
+
+
+def _aux_head(net: NetworkParams, h: np.ndarray, aux_mask) -> tuple[np.ndarray, np.ndarray]:
+    """(head input, raw pose) of the aux head fed by tapped activation ``h``."""
+    if aux_mask is not None:
+        h = h * aux_mask * (1.0 / (1.0 - net.dropout_p))
+    return h, h @ net.aux.weights.T + net.aux.bias
 
 
 def forward(net: NetworkParams, x, mask: DropoutMask | None = None) -> np.ndarray:
     """One forward pass; a maskless pass is the deterministic baseline."""
     a = _check_input(net, x)
-    mask = _check_mask(net, mask)
-    scale = 1.0 / (1.0 - net.dropout_p)
-    mi = 0
-    for layer in net.layers:
-        if layer.spec.has_dropout and mask is not None:
-            a = a * mask.layer_masks[mi] * scale
-            mi += 1
-        z = layer.weights @ a + layer.bias
-        a = np.maximum(z, 0.0) if layer.spec.activation == "relu" else z
-    return a
+    return _propagate(net, a, net.layers, None if mask is None else _mask_vectors(net, mask))
 
 
 def forward_aux(net: NetworkParams, x, mask: DropoutMask | None = None) -> np.ndarray:
@@ -275,34 +313,24 @@ def forward_aux(net: NetworkParams, x, mask: DropoutMask | None = None) -> np.nd
     if net.aux is None:
         raise InvalidArchitecture("network has no auxiliary head")
     a = _check_input(net, x)
-    mask = _check_mask(net, mask)
-    scale = 1.0 / (1.0 - net.dropout_p)
-    mi = 0
-    for i, layer in enumerate(net.layers[: net.aux.after_layer + 1]):
-        if layer.spec.has_dropout and mask is not None:
-            a = a * mask.layer_masks[mi] * scale
-            mi += 1
-        z = layer.weights @ a + layer.bias
-        a = np.maximum(z, 0.0) if layer.spec.activation == "relu" else z
-    if net.aux.has_dropout and mask is not None and mask.aux_mask is not None:
-        a = a * mask.aux_mask * scale
-    return net.aux.weights @ a + net.aux.bias
+    vectors = None if mask is None else _mask_vectors(net, mask)
+    h = _propagate(net, a, net.layers[: net.aux.after_layer + 1], vectors)
+    aux_mask = vectors[-1] if vectors is not None and net.aux.has_dropout else None
+    return _aux_head(net, h, aux_mask)[1]
 
 
 def feature_embedding(net: NetworkParams, x) -> np.ndarray:
     """Activation entering the final layer, computed without masks."""
-    a = _check_input(net, x)
-    for layer in net.layers[:-1]:
-        z = layer.weights @ a + layer.bias
-        a = np.maximum(z, 0.0) if layer.spec.activation == "relu" else z
-    return a
+    return _propagate(net, _check_input(net, x), net.layers[:-1], None)
 
 
-def _head_gradient(out: np.ndarray, pos: np.ndarray, quat: np.ndarray, beta: float):
+def _head_gradient(out: np.ndarray, pos: np.ndarray, quat: np.ndarray, beta: float, head: str):
     """Row-wise gradient of ||p_hat - p|| + beta * ||q_hat - q|| and the losses.
 
     Rows sitting exactly at a norm kink get the zero subgradient.
     """
+    if np.any(np.linalg.norm(out[:, 3:], axis=1) <= NORM_FLOOR):
+        raise DegenerateQuaternion(f"{head} raw quaternion collapsed to (near) zero norm")
     d_pos = out[:, :3] - pos
     n_pos = np.linalg.norm(d_pos, axis=1)
     d_quat = out[:, 3:] - quat
@@ -313,6 +341,70 @@ def _head_gradient(out: np.ndarray, pos: np.ndarray, quat: np.ndarray, beta: flo
     rows = n_quat > 0.0
     grad[rows, 3:] = beta * d_quat[rows] / n_quat[rows, None]
     return grad, n_pos + beta * n_quat
+
+
+def _gradient(net: NetworkParams, x, pos, quat, masks: np.ndarray | None, beta: float) -> NetworkGradients:
+    """Gradient of the mean pose loss over the rows of x, pos and quat.
+
+    ``masks`` is None or a block laid out as :func:`draw_masks` returns it,
+    one row per example.
+    """
+    n = len(x)
+    vectors = None if masks is None else _split_masks(net, masks)
+    aux_masks = vectors.pop() if vectors and net.aux is not None and net.aux.has_dropout else None
+    scale = 1.0 / (1.0 - net.dropout_p)
+
+    trace: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    out = _propagate(net, x, net.layers, vectors, trace)
+    grad_out, losses = _head_gradient(out, pos, quat, beta, "a predicted")
+    grad_out = grad_out / n
+    mean_loss = float(losses.mean())
+
+    aux_grads = None
+    aux_back = None
+    if net.aux is not None:
+        h_in, out_aux = _aux_head(net, trace[net.aux.after_layer][2], aux_masks)
+        grad_aux, losses_aux = _head_gradient(out_aux, pos, quat, beta, "an auxiliary")
+        grad_aux = grad_aux * (AUX_LOSS_WEIGHT / n)
+        mean_loss += AUX_LOSS_WEIGHT * float(losses_aux.mean())
+        aux_grads = (grad_aux.T @ h_in, grad_aux.sum(axis=0))
+        aux_back = grad_aux @ net.aux.weights
+        if aux_masks is not None:
+            aux_back = aux_back * aux_masks * scale
+
+    # Backward.
+    grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(net.layers)
+    d_act = grad_out
+    mi = len(vectors) - 1 if vectors is not None else -1
+    for i in reversed(range(len(net.layers))):
+        layer = net.layers[i]
+        a_in, z, _ = trace[i]
+        d_z = d_act * (z > 0.0) if layer.spec.activation == "relu" else d_act
+        grads[i] = (d_z.T @ a_in, d_z.sum(axis=0))
+        if i == 0:
+            break
+        d_prev = d_z @ layer.weights
+        if layer.spec.has_dropout and vectors is not None:
+            d_prev = d_prev * vectors[mi] * scale
+            mi -= 1
+        if net.aux is not None and net.aux.after_layer == i - 1:
+            d_prev = d_prev + aux_back
+        d_act = d_prev
+
+    return NetworkGradients(layers=grads, aux=aux_grads, mean_loss=mean_loss)
+
+
+def _stack_examples(net: NetworkParams, examples: Sequence[TrainExample]):
+    """Features, positions and quaternions as arrays, filled row by row
+    (np.stack would make a temporary view per example, raising peak memory)."""
+    x = np.empty((len(examples), net.input_width))
+    pos = np.empty((len(examples), 3))
+    quat = np.empty((len(examples), 4))
+    for i, (features, pose) in enumerate(examples):
+        x[i] = _check_input(net, features)
+        pos[i] = (pose.position.x, pose.position.y, pose.position.z)
+        quat[i] = (pose.orientation.w, pose.orientation.x, pose.orientation.y, pose.orientation.z)
+    return x, pos, quat
 
 
 def loss_gradient(
@@ -333,89 +425,17 @@ def loss_gradient(
         raise ShapeMismatch(
             f"{len(mask_per_example)} masks for {len(batch)} examples"
         )
-    n = len(batch)
-    x = np.stack([_check_input(net, f) for f, _ in batch])
-    pos = np.stack([t.position.as_array() for _, t in batch])
-    quat = np.stack([t.orientation.as_array() for _, t in batch])
-
+    x, pos, quat = _stack_examples(net, batch)
     masks = None
-    aux_masks = None
     if mask_per_example is not None:
-        checked = [_check_mask(net, m) for m in mask_per_example]
-        n_drop = len(net.dropout_layer_indices())
-        masks = [np.stack([m.layer_masks[j] for m in checked]) for j in range(n_drop)]
-        if net.aux is not None and net.aux.has_dropout:
-            aux_masks = np.stack([m.aux_mask for m in checked])
+        rows = [np.concatenate([np.zeros(0), *_mask_vectors(net, m)]) for m in mask_per_example]
+        masks = np.stack(rows)
+    return _gradient(net, x, pos, quat, masks, config.beta)
 
-    scale = 1.0 / (1.0 - net.dropout_p)
 
-    # Forward, keeping the (possibly masked) input each layer consumed.
-    layer_inputs = []
-    preacts = []
-    acts = []
-    a = x
-    mi = 0
-    for layer in net.layers:
-        a_in = a
-        if layer.spec.has_dropout and masks is not None:
-            a_in = a * masks[mi] * scale
-            mi += 1
-        z = a_in @ layer.weights.T + layer.bias
-        a = np.maximum(z, 0.0) if layer.spec.activation == "relu" else z
-        layer_inputs.append(a_in)
-        preacts.append(z)
-        acts.append(a)
-    out = acts[-1]
-
-    q_norms = np.linalg.norm(out[:, 3:], axis=1)
-    if np.any(q_norms <= NORM_FLOOR):
-        raise DegenerateQuaternion("a predicted raw quaternion collapsed to (near) zero norm")
-
-    grad_out, losses = _head_gradient(out, pos, quat, config.beta)
-    grad_out = grad_out / n
-    mean_loss = float(losses.mean())
-
-    aux_grads = None
-    aux_back = None
-    if net.aux is not None:
-        h = acts[net.aux.after_layer]
-        h_in = h
-        if aux_masks is not None:
-            h_in = h * aux_masks * scale
-        out_aux = h_in @ net.aux.weights.T + net.aux.bias
-        q_norms_aux = np.linalg.norm(out_aux[:, 3:], axis=1)
-        if np.any(q_norms_aux <= NORM_FLOOR):
-            raise DegenerateQuaternion("an auxiliary raw quaternion collapsed to (near) zero norm")
-        grad_aux, losses_aux = _head_gradient(out_aux, pos, quat, config.beta)
-        grad_aux = grad_aux * (AUX_LOSS_WEIGHT / n)
-        mean_loss += AUX_LOSS_WEIGHT * float(losses_aux.mean())
-        aux_grads = (grad_aux.T @ h_in, grad_aux.sum(axis=0))
-        aux_back = grad_aux @ net.aux.weights
-        if aux_masks is not None:
-            aux_back = aux_back * aux_masks * scale
-
-    # Backward.
-    grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(net.layers)
-    d_act = grad_out
-    mi = len(masks) - 1 if masks is not None else -1
-    for i in reversed(range(len(net.layers))):
-        layer = net.layers[i]
-        if layer.spec.activation == "relu":
-            d_z = d_act * (preacts[i] > 0.0)
-        else:
-            d_z = d_act
-        grads[i] = (d_z.T @ layer_inputs[i], d_z.sum(axis=0))
-        if i == 0:
-            break
-        d_prev = d_z @ layer.weights
-        if layer.spec.has_dropout and masks is not None:
-            d_prev = d_prev * masks[mi] * scale
-            mi -= 1
-        if net.aux is not None and net.aux.after_layer == i - 1:
-            d_prev = d_prev + aux_back
-        d_act = d_prev
-
-    return NetworkGradients(layers=grads, aux=aux_grads, mean_loss=mean_loss)
+def _param_arrays(net: NetworkParams) -> list[np.ndarray]:
+    arrays = [a for layer in net.layers for a in (layer.weights, layer.bias)]
+    return arrays if net.aux is None else arrays + [net.aux.weights, net.aux.bias]
 
 
 def train(net: NetworkParams, dataset: Sequence[TrainExample], config: TrainConfig) -> TrainResult:
@@ -428,17 +448,11 @@ def train(net: NetworkParams, dataset: Sequence[TrainExample], config: TrainConf
     """
     if len(dataset) == 0:
         raise ValueError("dataset must not be empty")
+    x, pos, quat = _stack_examples(net, dataset)
     params = net.copy()
-    velocity = [
-        (np.zeros_like(layer.weights), np.zeros_like(layer.bias)) for layer in params.layers
-    ]
-    velocity_aux = None
-    if params.aux is not None:
-        velocity_aux = (np.zeros_like(params.aux.weights), np.zeros_like(params.aux.bias))
-
-    has_dropout = len(params.dropout_layer_indices()) > 0 or (
-        params.aux is not None and params.aux.has_dropout
-    )
+    arrays = _param_arrays(params)
+    velocity = [np.zeros_like(a) for a in arrays]
+    has_dropout = len(_mask_widths(params)) > 0
     n = len(dataset)
     counter = 0
     epoch_losses = []
@@ -446,32 +460,19 @@ def train(net: NetworkParams, dataset: Sequence[TrainExample], config: TrainConf
         order = derive_rng(config.seed, 0, epoch).permutation(n)
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
-            batch_idx = order[start : start + config.batch_size]
-            batch = [dataset[i] for i in batch_idx]
-            masks = None
-            if has_dropout:
-                masks = [draw_mask(params, config.seed, counter + j) for j in range(len(batch))]
-            counter += len(batch)
+            idx = order[start : start + config.batch_size]
+            masks = draw_masks(params, config.seed, counter, len(idx)) if has_dropout else None
+            counter += len(idx)
 
-            grads = loss_gradient(params, batch, masks, config.loss)
+            grads = _gradient(params, x[idx], pos[idx], quat[idx], masks, config.loss.beta)
             if not math.isfinite(grads.mean_loss):
                 raise NonFiniteLoss(f"loss became {grads.mean_loss!r} at epoch {epoch}")
-            loss_sum += grads.mean_loss * len(batch)
+            loss_sum += grads.mean_loss * len(idx)
 
-            for layer, vel, (d_w, d_b) in zip(params.layers, velocity, grads.layers):
-                vel[0][...] = config.momentum * vel[0] - config.learning_rate * d_w
-                vel[1][...] = config.momentum * vel[1] - config.learning_rate * d_b
-                layer.weights += vel[0]
-                layer.bias += vel[1]
-            if grads.aux is not None:
-                velocity_aux[0][...] = (
-                    config.momentum * velocity_aux[0] - config.learning_rate * grads.aux[0]
-                )
-                velocity_aux[1][...] = (
-                    config.momentum * velocity_aux[1] - config.learning_rate * grads.aux[1]
-                )
-                params.aux.weights += velocity_aux[0]
-                params.aux.bias += velocity_aux[1]
+            steps = [g for pair in grads.layers + [grads.aux] if pair is not None for g in pair]
+            for param, vel, step in zip(arrays, velocity, steps):
+                vel[...] = config.momentum * vel - config.learning_rate * step
+                param += vel
         epoch_losses.append(loss_sum / n)
     return TrainResult(net=params, epoch_losses=epoch_losses)
 
@@ -504,6 +505,29 @@ def _layer_from_dict(d: dict) -> Layer:
     return Layer(spec, weights, bias)
 
 
+def _write_json(f, obj) -> None:
+    """Write the text of ``json.dumps(obj)`` piece by piece.
+
+    Lists of lists or dicts go one element at a time: json.dumps on a whole
+    checkpoint holds every number's text at once (~3 MB for a 128x128
+    trunk), and json.dump runs the pure-Python encoder at half the speed.
+    """
+    if isinstance(obj, dict):
+        f.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            f.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write_json(f, value)
+        f.write("}")
+    elif isinstance(obj, list) and any(isinstance(v, (list, dict)) for v in obj):
+        f.write("[")
+        for i, value in enumerate(obj):
+            f.write(", " if i else "")
+            _write_json(f, value)
+        f.write("]")
+    else:
+        f.write(json.dumps(obj))
+
+
 def save_checkpoint(path: str | os.PathLike, net: NetworkParams) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -520,7 +544,7 @@ def save_checkpoint(path: str | os.PathLike, net: NetworkParams) -> None:
         },
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
+        _write_json(f, doc)
         f.write("\n")
 
 
@@ -530,23 +554,32 @@ def load_checkpoint(path: str | os.PathLike) -> NetworkParams:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid checkpoint file: {e.msg}", line=e.lineno) from e
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ParseError(
-            f"unsupported checkpoint format {doc.get('format')!r}, expected {CHECKPOINT_FORMAT!r}"
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ParseError(f"unsupported checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT!r}")
+    try:
+        layers = [_layer_from_dict(d) for d in doc["layers"]]
+        aux = None
+        if doc.get("aux") is not None:
+            a = doc["aux"]
+            aux = AuxHead(
+                after_layer=int(a["after_layer"]),
+                weights=np.asarray(a["weights"], dtype=float),
+                bias=np.asarray(a["bias"], dtype=float),
+                has_dropout=bool(a["has_dropout"]),
+            )
+        net = NetworkParams(layers, float(doc["dropout_p"]), int(doc["seed"]), aux)
+        _check_architecture(
+            [layer.spec for layer in layers], net.dropout_p, None if aux is None else aux.after_layer
         )
-    layers = [_layer_from_dict(d) for d in doc["layers"]]
-    aux = None
-    if doc.get("aux") is not None:
-        a = doc["aux"]
-        aux = AuxHead(
-            after_layer=int(a["after_layer"]),
-            weights=np.asarray(a["weights"], dtype=float),
-            bias=np.asarray(a["bias"], dtype=float),
-            has_dropout=bool(a["has_dropout"]),
-        )
-    return NetworkParams(
-        layers=layers,
-        dropout_p=float(doc["dropout_p"]),
-        seed=int(doc["seed"]),
-        aux=aux,
-    )
+    except (InvalidArchitecture, KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"invalid checkpoint: {e}") from e
+    if aux is not None:
+        want = (POSE_WIDTH, layers[aux.after_layer].spec.output_width)
+        if aux.weights.shape != want or aux.bias.shape != (POSE_WIDTH,):
+            raise ParseError(
+                f"aux head shapes {aux.weights.shape}/{aux.bias.shape} do not match {want}/({POSE_WIDTH},)"
+            )
+    if not all(np.isfinite(a).all() for a in _param_arrays(net)):
+        raise ParseError("checkpoint holds non-finite parameters")
+    return net

@@ -343,6 +343,13 @@ class TestSampleDump:
             read_sample_dump(path)
         assert exc.value.line == 1
 
+    def test_header_field_without_value(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# bayesreloc-samples-v1 query_id=q num_samples=1 master_seed=0 junk\n0 0 0 0 1 0 0 0\n")
+        with pytest.raises(ParseError) as exc:
+            read_sample_dump(path)
+        assert exc.value.line == 1
+
     def test_bad_field_count_reports_line(self, tmp_path):
         net = _net()
         s = sample_posterior(net, np.array([0.6, -0.3, 0.9, 0.2]), 4, master_seed=1)
@@ -390,6 +397,23 @@ class TestSampleDump:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError):
             read_sample_dump(path)
+
+    def test_duplicate_index_reports_line(self, tmp_path):
+        # index 0 twice and index 1 missing: the row count still matches the
+        # header, so only tracking distinct indices catches it
+        net = _net()
+        s = sample_posterior(net, np.array([0.6, -0.3, 0.9, 0.2]), 3, master_seed=1)
+        path = tmp_path / "dump.txt"
+        write_sample_dump(path, s, "q")
+        lines = path.read_text().splitlines()
+        row_zero = next(i for i, line in enumerate(lines) if line.startswith("0 "))
+        row_one = next(i for i, line in enumerate(lines) if line.startswith("1 "))
+        lines[row_one] = lines[row_zero]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_sample_dump(path)
+        assert exc.value.line == row_one + 1
+        assert "twice" in str(exc.value)
 
     def test_query_id_rejects_whitespace(self, tmp_path):
         net = _net()

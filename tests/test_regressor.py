@@ -1,5 +1,7 @@
 """Tests for the MLP pose regressor: building, masking, gradients, training."""
 
+import io
+import json
 import math
 
 import numpy as np
@@ -22,6 +24,7 @@ from bayesreloc.regressor import (
     TrainConfig,
     build_network,
     draw_mask,
+    draw_masks,
     feature_embedding,
     forward,
     forward_aux,
@@ -30,6 +33,7 @@ from bayesreloc.regressor import (
     save_checkpoint,
     train,
 )
+from bayesreloc.seeding import derive_rng
 
 
 def _random_pose(rng):
@@ -89,6 +93,68 @@ def _fd_check(net, batch, masks, config, h=1e-5, rel=1e-4, floor=1e-7):
         check(net.aux.weights, grads.aux[0], None)
         check(net.aux.bias, grads.aux[1], None)
     return worst
+
+
+def _fast_path_nets():
+    """Nets the array fast paths are checked on, keyed by what they cover."""
+    return {
+        "aux_dropout": build_network(
+            [
+                LayerSpec(6, 12, activation="identity"),
+                LayerSpec(12, 10, has_dropout=True),
+                LayerSpec(10, 7, has_dropout=True, activation="identity"),
+            ],
+            0.25,
+            seed=700,
+            aux_after=0,
+        ),
+        "no_dropout": build_network(
+            [LayerSpec(6, 16), LayerSpec(16, 7, activation="identity")], 0.5, seed=701
+        ),
+        "p_zero": build_network(
+            [LayerSpec(6, 16), LayerSpec(16, 7, has_dropout=True, activation="identity")],
+            0.0,
+            seed=702,
+        ),
+    }
+
+
+def _mask_row(mask):
+    """A DropoutMask's vectors end to end, in draw_masks layout."""
+    aux = [] if mask.aux_mask is None else [mask.aux_mask]
+    return np.concatenate([np.zeros(0), *mask.layer_masks, *aux])
+
+
+def _reference_train(net, dataset, config):
+    """The per-example training loop train() must reproduce bit for bit.
+
+    One draw_mask per example and one loss_gradient per batch of Pose
+    objects, then SGD with momentum on every parameter array.
+    """
+    params = net.copy()
+    arrays = [(layer.weights, layer.bias) for layer in params.layers]
+    if params.aux is not None:
+        arrays.append((params.aux.weights, params.aux.bias))
+    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in arrays]
+    counter = 0
+    epoch_losses = []
+    for epoch in range(config.epochs):
+        order = derive_rng(config.seed, 0, epoch).permutation(len(dataset))
+        loss_sum = 0.0
+        for start in range(0, len(dataset), config.batch_size):
+            batch = [dataset[i] for i in order[start : start + config.batch_size]]
+            masks = [draw_mask(params, config.seed, counter + j) for j in range(len(batch))]
+            counter += len(batch)
+            grads = loss_gradient(params, batch, masks, config.loss)
+            loss_sum += grads.mean_loss * len(batch)
+            steps = grads.layers + ([] if grads.aux is None else [grads.aux])
+            for (w, b), (v_w, v_b), (d_w, d_b) in zip(arrays, velocity, steps):
+                v_w[...] = config.momentum * v_w - config.learning_rate * d_w
+                v_b[...] = config.momentum * v_b - config.learning_rate * d_b
+                w += v_w
+                b += v_b
+        epoch_losses.append(loss_sum / len(dataset))
+    return params, epoch_losses
 
 
 class TestBuildNetwork:
@@ -236,6 +302,23 @@ class TestDrawMask:
         mask = draw_mask(net, 1, 0)
         assert mask.layer_masks == ()
         assert mask.aux_mask is None
+
+
+class TestDrawMasks:
+    @pytest.mark.parametrize("name", ["aux_dropout", "no_dropout", "p_zero"])
+    def test_rows_match_draw_mask(self, name):
+        net = _fast_path_nets()[name]
+        block = draw_masks(net, 31, 5, 9)
+        width = sum(v.size for v in draw_mask(net, 31, 0).layer_masks)
+        if net.aux is not None:
+            width += net.aux.weights.shape[1]
+        assert block.shape == (9, width)
+        for j, row in enumerate(block):
+            np.testing.assert_array_equal(row, _mask_row(draw_mask(net, 31, 5 + j)))
+
+    def test_rows_do_not_depend_on_block(self):
+        net = _fast_path_nets()["aux_dropout"]
+        np.testing.assert_array_equal(draw_masks(net, 8, 0, 6)[3:], draw_masks(net, 8, 3, 3))
 
 
 class TestForward:
@@ -515,6 +598,21 @@ class TestTrain:
         r3 = train(net, data, TrainConfig(1e-3, 16, 4, LossConfig(2.0), seed=10))
         assert r3.epoch_losses != r1.epoch_losses
 
+    @pytest.mark.parametrize("name", ["aux_dropout", "no_dropout", "p_zero"])
+    def test_matches_reference_loop(self, name):
+        net = _fast_path_nets()[name]
+        data = _random_batch(np.random.default_rng(36), 6, 45)
+        cfg = TrainConfig(1e-3, 8, 3, LossConfig(2.0), seed=12)
+        result = train(net, data, cfg)
+        ref_net, ref_losses = _reference_train(net, data, cfg)
+        assert result.epoch_losses == ref_losses
+        for got, want in zip(result.net.layers, ref_net.layers):
+            np.testing.assert_array_equal(got.weights, want.weights)
+            np.testing.assert_array_equal(got.bias, want.bias)
+        if net.aux is not None:
+            np.testing.assert_array_equal(result.net.aux.weights, ref_net.aux.weights)
+            np.testing.assert_array_equal(result.net.aux.bias, ref_net.aux.bias)
+
     def test_linear_fixture_converges(self):
         # one identity layer fitting an exactly-linear map with dropout off:
         # least squares says loss 0 is attainable, so 200 epochs of SGD must
@@ -603,6 +701,9 @@ class TestCheckpoint:
         path.write_text('{"format": "bayesreloc-net-v99", "layers": []}')
         with pytest.raises(ParseError):
             load_checkpoint(path)
+        path.write_text("[]")
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "net.json"
@@ -619,6 +720,64 @@ class TestCheckpoint:
         path.write_text(text)
         with pytest.raises(ParseError):
             load_checkpoint(path)
+
+
+    def _saved_doc(self, tmp_path, aux_after=None):
+        net = build_network(
+            [LayerSpec(4, 6), LayerSpec(6, 7, has_dropout=True, activation="identity")],
+            0.5,
+            seed=603,
+            aux_after=aux_after,
+        )
+        path = tmp_path / "net.json"
+        save_checkpoint(path, net)
+        return path, json.loads(path.read_text())
+
+    def _rejects(self, path, doc):
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_dropout_rate_out_of_range(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["dropout_p"] = 1.5
+        self._rejects(path, doc)
+
+    def test_non_finite_weights(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["layers"][0]["weights"][1][2] = float("nan")
+        self._rejects(path, doc)
+
+    def test_non_finite_aux_bias(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path, aux_after=0)
+        doc["aux"]["bias"][0] = float("inf")
+        self._rejects(path, doc)
+
+    def test_widths_that_do_not_chain(self, tmp_path):
+        # every layer's own shapes agree; only the chain 4x6 -> 5x7 breaks
+        path, doc = self._saved_doc(tmp_path)
+        last = doc["layers"][1]
+        last["input_width"] = 5
+        last["weights"] = [row[:5] for row in last["weights"]]
+        self._rejects(path, doc)
+
+    def test_aux_head_shape(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path, aux_after=0)
+        doc["aux"]["weights"] = [row[:5] for row in doc["aux"]["weights"]]
+        self._rejects(path, doc)
+
+    def test_aux_tap_out_of_range(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path, aux_after=0)
+        doc["aux"]["after_layer"] = 1
+        self._rejects(path, doc)
+
+    @pytest.mark.parametrize("aux_after", [None, 0])
+    def test_bytes_match_json_dump(self, tmp_path, aux_after):
+        # the piecewise writer must give the bytes json.dump writes
+        path, doc = self._saved_doc(tmp_path, aux_after=aux_after)
+        buf = io.StringIO()
+        json.dump(doc, buf)
+        assert path.read_text() == buf.getvalue() + "\n"
 
 
 class TestForwardAux:
