@@ -78,7 +78,6 @@ from .mc_posterior import (
     write_sample_dump,
 )
 from .regressor import (
-    AuxHead,
     DropoutMask,
     Layer,
     LayerSpec,
@@ -90,7 +89,6 @@ from .regressor import (
     draw_masks,
     feature_embedding,
     forward,
-    forward_aux,
     load_checkpoint,
     loss_gradient,
     save_checkpoint,

@@ -345,24 +345,25 @@ def load_calibration(path: str | os.PathLike) -> CalibrationModel:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid calibration file: {e.msg}", line=e.lineno) from e
-    if doc.get("format") not in _READABLE_FORMATS:
-        raise ParseError(
-            f"unsupported calibration format {doc.get('format')!r}, expected {CALIBRATION_FORMAT!r}"
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt not in _READABLE_FORMATS:
+        raise ParseError(f"unsupported calibration format {fmt!r}, expected {CALIBRATION_FORMAT!r}")
+    try:
+        fields = dict(
+            trans=_gamma_from_dict(doc["trans"]),
+            rot=_gamma_from_dict(doc["rot"]),
+            source_scene=str(doc["source_scene"]),
+            population_size=int(doc["population_size"]),
+            trans_ks=float(doc.get("trans_ks", math.nan)),
+            rot_ks=float(doc.get("rot_ks", math.nan)),
         )
-    conditioned = {}
-    if doc["format"] == CALIBRATION_FORMAT:
-        conditioned = dict(
-            trans_trend=tuple(float(c) for c in doc["trans_trend"]),
-            rot_trend=tuple(float(c) for c in doc["rot_trend"]),
-            trans_residual=_gamma_from_dict(doc["trans_residual"]),
-            rot_residual=_gamma_from_dict(doc["rot_residual"]),
-        )
-    return CalibrationModel(
-        trans=_gamma_from_dict(doc["trans"]),
-        rot=_gamma_from_dict(doc["rot"]),
-        source_scene=str(doc["source_scene"]),
-        population_size=int(doc["population_size"]),
-        trans_ks=float(doc.get("trans_ks", math.nan)),
-        rot_ks=float(doc.get("rot_ks", math.nan)),
-        **conditioned,
-    )
+        if fmt == CALIBRATION_FORMAT:
+            fields.update(
+                trans_trend=tuple(float(c) for c in doc["trans_trend"]),
+                rot_trend=tuple(float(c) for c in doc["rot_trend"]),
+                trans_residual=_gamma_from_dict(doc["trans_residual"]),
+                rot_residual=_gamma_from_dict(doc["rot_residual"]),
+            )
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"invalid calibration file: {e}") from e
+    return CalibrationModel(**fields)

@@ -126,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--beta", type=float, default=50.0)
     p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--aux-after", type=int, default=None, help="hidden layer feeding an auxiliary head")
     p.add_argument("--out", required=True, help="checkpoint file")
     p.set_defaults(func=_cmd_train)
 
@@ -224,7 +223,7 @@ def _cmd_train(args) -> int:
                 activation="identity" if i == n_layers - 1 else "relu",
             )
         )
-    net = build_network(specs, args.dropout, args.seed, aux_after=args.aux_after)
+    net = build_network(specs, args.dropout, args.seed)
     config = TrainConfig(
         learning_rate=args.lr,
         batch_size=args.batch,

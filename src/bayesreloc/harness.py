@@ -306,6 +306,8 @@ def run_timing(
     net = _network_of(model)
     if len(dataset.test) == 0:
         raise ValueError("dataset needs a non-empty test split")
+    if min_queries < 1:
+        raise ValueError(f"min_queries must be >= 1, got {min_queries}")
     durations = []
     qi = 0
     while len(durations) < min_queries:

@@ -33,7 +33,6 @@ from .seeding import derive_rng
 
 POSE_WIDTH = 7
 CHECKPOINT_FORMAT = "bayesreloc-net-v1"
-AUX_LOSS_WEIGHT = 0.3
 
 Activation = Literal["relu", "identity"]
 
@@ -67,28 +66,12 @@ class Layer:
 
 
 @dataclass
-class AuxHead:
-    """Optional linear pose head tapped from a hidden activation.
-
-    ``after_layer`` is the index of the trunk layer whose post-activation
-    output feeds the head.  During training its loss joins the total with
-    weight AUX_LOSS_WEIGHT.
-    """
-
-    after_layer: int
-    weights: np.ndarray
-    bias: np.ndarray
-    has_dropout: bool = True
-
-
-@dataclass
 class NetworkParams:
     """All learnable state plus the dropout rate and the build seed."""
 
     layers: list[Layer]
     dropout_p: float
     seed: int
-    aux: AuxHead | None = None
 
     @property
     def input_width(self) -> int:
@@ -96,27 +79,18 @@ class NetworkParams:
 
     def copy(self) -> "NetworkParams":
         layers = [Layer(l.spec, l.weights.copy(), l.bias.copy()) for l in self.layers]
-        aux = None
-        if self.aux is not None:
-            aux = AuxHead(
-                self.aux.after_layer,
-                self.aux.weights.copy(),
-                self.aux.bias.copy(),
-                self.aux.has_dropout,
-            )
-        return NetworkParams(layers, self.dropout_p, self.seed, aux)
+        return NetworkParams(layers, self.dropout_p, self.seed)
 
 
 @dataclass(frozen=True)
 class DropoutMask:
     """Keep/drop indicators for one stochastic pass.
 
-    One vector per dropout-enabled trunk layer (in layer order), each as
+    One vector per dropout-enabled layer (in layer order), each as
     long as that layer's input; 0 drops the unit, 1 keeps it.
     """
 
     layer_masks: tuple[np.ndarray, ...]
-    aux_mask: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -144,7 +118,6 @@ class NetworkGradients:
     """Per-parameter gradients, congruent to NetworkParams, plus the loss."""
 
     layers: list[tuple[np.ndarray, np.ndarray]]
-    aux: tuple[np.ndarray, np.ndarray] | None
     mean_loss: float
 
 
@@ -154,8 +127,8 @@ class TrainResult:
     epoch_losses: list[float]
 
 
-def _check_architecture(specs: Sequence[LayerSpec], dropout_p: float, aux_after: int | None) -> None:
-    """Raise unless the layers, dropout rate and aux tap form a valid network."""
+def _check_architecture(specs: Sequence[LayerSpec], dropout_p: float) -> None:
+    """Raise unless the layers and dropout rate form a valid network."""
     if len(specs) == 0:
         raise InvalidArchitecture("need at least one layer")
     for prev, nxt in zip(specs, specs[1:]):
@@ -176,24 +149,15 @@ def _check_architecture(specs: Sequence[LayerSpec], dropout_p: float, aux_after:
             )
     if not (0.0 <= dropout_p < 1.0):
         raise ValueError(f"dropout_p must be in [0, 1), got {dropout_p!r}")
-    if aux_after is not None and not (0 <= aux_after < len(specs) - 1):
-        raise InvalidArchitecture(
-            f"aux_after must name a hidden layer in [0, {len(specs) - 2}], got {aux_after}"
-        )
 
 
-def build_network(
-    specs: Sequence[LayerSpec],
-    dropout_p: float,
-    seed: int,
-    aux_after: int | None = None,
-) -> NetworkParams:
+def build_network(specs: Sequence[LayerSpec], dropout_p: float, seed: int) -> NetworkParams:
     """Initialize a network with uniform Glorot weights and zero biases.
 
     Weight entries are drawn from U(-a, a) with a = sqrt(6 / (fan_in +
     fan_out)).  The final layer must be identity with width POSE_WIDTH.
     """
-    _check_architecture(specs, dropout_p, aux_after)
+    _check_architecture(specs, dropout_p)
 
     rng = derive_rng(seed)
     layers = []
@@ -201,25 +165,12 @@ def build_network(
         limit = math.sqrt(6.0 / (spec.input_width + spec.output_width))
         weights = rng.uniform(-limit, limit, size=(spec.output_width, spec.input_width))
         layers.append(Layer(spec, weights, np.zeros(spec.output_width)))
-
-    aux = None
-    if aux_after is not None:
-        width = specs[aux_after].output_width
-        limit = math.sqrt(6.0 / (width + POSE_WIDTH))
-        aux = AuxHead(
-            after_layer=aux_after,
-            weights=rng.uniform(-limit, limit, size=(POSE_WIDTH, width)),
-            bias=np.zeros(POSE_WIDTH),
-        )
-    return NetworkParams(layers, float(dropout_p), int(seed), aux)
+    return NetworkParams(layers, float(dropout_p), int(seed))
 
 
 def _mask_widths(net: NetworkParams) -> list[int]:
-    """Mask vector lengths of one pass: dropout layers in order, then the aux head."""
-    widths = [layer.spec.input_width for layer in net.layers if layer.spec.has_dropout]
-    if net.aux is not None and net.aux.has_dropout:
-        widths.append(net.aux.weights.shape[1])
-    return widths
+    """Mask vector lengths of one pass, one per dropout layer in order."""
+    return [layer.spec.input_width for layer in net.layers if layer.spec.has_dropout]
 
 
 def _split_masks(net: NetworkParams, block: np.ndarray) -> list[np.ndarray]:
@@ -234,9 +185,9 @@ def _split_masks(net: NetworkParams, block: np.ndarray) -> list[np.ndarray]:
 def draw_masks(net: NetworkParams, master_seed: int, start: int, count: int) -> np.ndarray:
     """Keep/drop patterns of passes start, ..., start + count - 1 as one block.
 
-    Row j holds pass start + j's vectors end to end (dropout layers in
-    order, then the aux head), all drawn from the one stream keyed by
-    (master_seed, start + j); 0 drops the unit, 1 keeps it.
+    Row j holds pass start + j's vectors end to end, dropout layers in
+    order, all drawn from the one stream keyed by (master_seed, start + j);
+    0 drops the unit, 1 keeps it.
     """
     total = sum(_mask_widths(net))
     block = np.empty((count, total))
@@ -252,10 +203,7 @@ def draw_mask(net: NetworkParams, master_seed: int, sample_index: int) -> Dropou
     yields the same mask regardless of how calls are ordered or batched.
     It is the one-row view of :func:`draw_masks`.
     """
-    vectors = _split_masks(net, draw_masks(net, master_seed, sample_index, 1)[0])
-    if net.aux is not None and net.aux.has_dropout:
-        return DropoutMask(tuple(vectors[:-1]), vectors[-1])
-    return DropoutMask(tuple(vectors))
+    return DropoutMask(tuple(_split_masks(net, draw_masks(net, master_seed, sample_index, 1)[0])))
 
 
 def _check_input(net: NetworkParams, x) -> np.ndarray:
@@ -267,8 +215,7 @@ def _check_input(net: NetworkParams, x) -> np.ndarray:
 
 def _mask_vectors(net: NetworkParams, mask: DropoutMask) -> tuple[np.ndarray, ...]:
     """A mask's vectors in draw_masks order, checked against the network."""
-    aux = (mask.aux_mask,) if net.aux is not None and net.aux.has_dropout else ()
-    vectors = tuple(mask.layer_masks) + aux
+    vectors = tuple(mask.layer_masks)
     shapes = [getattr(v, "shape", None) for v in vectors]
     if shapes != [(w,) for w in _mask_widths(net)]:
         raise ShapeMismatch(f"mask vector shapes {shapes} do not fit dropout inputs {_mask_widths(net)}")
@@ -295,28 +242,10 @@ def _propagate(net: NetworkParams, a: np.ndarray, layers: Sequence[Layer], masks
     return a
 
 
-def _aux_head(net: NetworkParams, h: np.ndarray, aux_mask) -> tuple[np.ndarray, np.ndarray]:
-    """(head input, raw pose) of the aux head fed by tapped activation ``h``."""
-    if aux_mask is not None:
-        h = h * aux_mask * (1.0 / (1.0 - net.dropout_p))
-    return h, h @ net.aux.weights.T + net.aux.bias
-
-
 def forward(net: NetworkParams, x, mask: DropoutMask | None = None) -> np.ndarray:
     """One forward pass; a maskless pass is the deterministic baseline."""
     a = _check_input(net, x)
     return _propagate(net, a, net.layers, None if mask is None else _mask_vectors(net, mask))
-
-
-def forward_aux(net: NetworkParams, x, mask: DropoutMask | None = None) -> np.ndarray:
-    """Raw pose from the auxiliary head."""
-    if net.aux is None:
-        raise InvalidArchitecture("network has no auxiliary head")
-    a = _check_input(net, x)
-    vectors = None if mask is None else _mask_vectors(net, mask)
-    h = _propagate(net, a, net.layers[: net.aux.after_layer + 1], vectors)
-    aux_mask = vectors[-1] if vectors is not None and net.aux.has_dropout else None
-    return _aux_head(net, h, aux_mask)[1]
 
 
 def feature_embedding(net: NetworkParams, x) -> np.ndarray:
@@ -324,13 +253,13 @@ def feature_embedding(net: NetworkParams, x) -> np.ndarray:
     return _propagate(net, _check_input(net, x), net.layers[:-1], None)
 
 
-def _head_gradient(out: np.ndarray, pos: np.ndarray, quat: np.ndarray, beta: float, head: str):
+def _head_gradient(out: np.ndarray, pos: np.ndarray, quat: np.ndarray, beta: float):
     """Row-wise gradient of ||p_hat - p|| + beta * ||q_hat - q|| and the losses.
 
     Rows sitting exactly at a norm kink get the zero subgradient.
     """
     if np.any(np.linalg.norm(out[:, 3:], axis=1) <= NORM_FLOOR):
-        raise DegenerateQuaternion(f"{head} raw quaternion collapsed to (near) zero norm")
+        raise DegenerateQuaternion("a predicted raw quaternion collapsed to (near) zero norm")
     d_pos = out[:, :3] - pos
     n_pos = np.linalg.norm(d_pos, axis=1)
     d_quat = out[:, 3:] - quat
@@ -351,26 +280,13 @@ def _gradient(net: NetworkParams, x, pos, quat, masks: np.ndarray | None, beta: 
     """
     n = len(x)
     vectors = None if masks is None else _split_masks(net, masks)
-    aux_masks = vectors.pop() if vectors and net.aux is not None and net.aux.has_dropout else None
     scale = 1.0 / (1.0 - net.dropout_p)
 
     trace: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     out = _propagate(net, x, net.layers, vectors, trace)
-    grad_out, losses = _head_gradient(out, pos, quat, beta, "a predicted")
+    grad_out, losses = _head_gradient(out, pos, quat, beta)
     grad_out = grad_out / n
     mean_loss = float(losses.mean())
-
-    aux_grads = None
-    aux_back = None
-    if net.aux is not None:
-        h_in, out_aux = _aux_head(net, trace[net.aux.after_layer][2], aux_masks)
-        grad_aux, losses_aux = _head_gradient(out_aux, pos, quat, beta, "an auxiliary")
-        grad_aux = grad_aux * (AUX_LOSS_WEIGHT / n)
-        mean_loss += AUX_LOSS_WEIGHT * float(losses_aux.mean())
-        aux_grads = (grad_aux.T @ h_in, grad_aux.sum(axis=0))
-        aux_back = grad_aux @ net.aux.weights
-        if aux_masks is not None:
-            aux_back = aux_back * aux_masks * scale
 
     # Backward.
     grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(net.layers)
@@ -387,11 +303,9 @@ def _gradient(net: NetworkParams, x, pos, quat, masks: np.ndarray | None, beta: 
         if layer.spec.has_dropout and vectors is not None:
             d_prev = d_prev * vectors[mi] * scale
             mi -= 1
-        if net.aux is not None and net.aux.after_layer == i - 1:
-            d_prev = d_prev + aux_back
         d_act = d_prev
 
-    return NetworkGradients(layers=grads, aux=aux_grads, mean_loss=mean_loss)
+    return NetworkGradients(layers=grads, mean_loss=mean_loss)
 
 
 def _stack_examples(net: NetworkParams, examples: Sequence[TrainExample]):
@@ -415,9 +329,7 @@ def loss_gradient(
 ) -> NetworkGradients:
     """Exact analytic gradient of the mean pose loss over a batch.
 
-    Dropout masks enter as constants.  When the network has an auxiliary
-    head, its loss joins with weight AUX_LOSS_WEIGHT and its gradient flows
-    back into the trunk.
+    Dropout masks enter as constants.
     """
     if len(batch) == 0:
         raise ValueError("batch must not be empty")
@@ -434,8 +346,7 @@ def loss_gradient(
 
 
 def _param_arrays(net: NetworkParams) -> list[np.ndarray]:
-    arrays = [a for layer in net.layers for a in (layer.weights, layer.bias)]
-    return arrays if net.aux is None else arrays + [net.aux.weights, net.aux.bias]
+    return [a for layer in net.layers for a in (layer.weights, layer.bias)]
 
 
 def train(net: NetworkParams, dataset: Sequence[TrainExample], config: TrainConfig) -> TrainResult:
@@ -469,7 +380,7 @@ def train(net: NetworkParams, dataset: Sequence[TrainExample], config: TrainConf
                 raise NonFiniteLoss(f"loss became {grads.mean_loss!r} at epoch {epoch}")
             loss_sum += grads.mean_loss * len(idx)
 
-            steps = [g for pair in grads.layers + [grads.aux] if pair is not None for g in pair]
+            steps = [g for pair in grads.layers for g in pair]
             for param, vel, step in zip(arrays, velocity, steps):
                 vel[...] = config.momentum * vel - config.learning_rate * step
                 param += vel
@@ -534,14 +445,6 @@ def save_checkpoint(path: str | os.PathLike, net: NetworkParams) -> None:
         "dropout_p": net.dropout_p,
         "seed": net.seed,
         "layers": [_layer_to_dict(layer) for layer in net.layers],
-        "aux": None
-        if net.aux is None
-        else {
-            "after_layer": net.aux.after_layer,
-            "has_dropout": net.aux.has_dropout,
-            "weights": net.aux.weights.tolist(),
-            "bias": net.aux.bias.tolist(),
-        },
     }
     with open(path, "w", encoding="utf-8") as f:
         _write_json(f, doc)
@@ -557,29 +460,15 @@ def load_checkpoint(path: str | os.PathLike) -> NetworkParams:
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ParseError(f"unsupported checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT!r}")
+    # Earlier files end in "aux": null, which loads; an auxiliary head does not.
+    if doc.get("aux") is not None:
+        raise ParseError('unsupported checkpoint field "aux": auxiliary heads are not supported')
     try:
         layers = [_layer_from_dict(d) for d in doc["layers"]]
-        aux = None
-        if doc.get("aux") is not None:
-            a = doc["aux"]
-            aux = AuxHead(
-                after_layer=int(a["after_layer"]),
-                weights=np.asarray(a["weights"], dtype=float),
-                bias=np.asarray(a["bias"], dtype=float),
-                has_dropout=bool(a["has_dropout"]),
-            )
-        net = NetworkParams(layers, float(doc["dropout_p"]), int(doc["seed"]), aux)
-        _check_architecture(
-            [layer.spec for layer in layers], net.dropout_p, None if aux is None else aux.after_layer
-        )
+        net = NetworkParams(layers, float(doc["dropout_p"]), int(doc["seed"]))
+        _check_architecture([layer.spec for layer in layers], net.dropout_p)
     except (InvalidArchitecture, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"invalid checkpoint: {e}") from e
-    if aux is not None:
-        want = (POSE_WIDTH, layers[aux.after_layer].spec.output_width)
-        if aux.weights.shape != want or aux.bias.shape != (POSE_WIDTH,):
-            raise ParseError(
-                f"aux head shapes {aux.weights.shape}/{aux.bias.shape} do not match {want}/({POSE_WIDTH},)"
-            )
     if not all(np.isfinite(a).all() for a in _param_arrays(net)):
         raise ParseError("checkpoint holds non-finite parameters")
     return net

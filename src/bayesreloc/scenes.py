@@ -72,6 +72,8 @@ class SceneSpec:
     def __post_init__(self):
         if not self.scene_id or any(ch.isspace() for ch in self.scene_id):
             raise InvalidSpec(f"scene_id must be non-empty without whitespace, got {self.scene_id!r}")
+        if len(self.extent) != 3:
+            raise InvalidSpec(f"extent needs 3 (lo, hi) ranges, got {len(self.extent)}")
         for axis, (lo, hi) in zip("xyz", self.extent):
             if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
                 raise InvalidSpec(f"{axis} extent ({lo!r}, {hi!r}) is empty or non-finite")
@@ -317,21 +319,24 @@ def load_scene_spec(path: str | os.PathLike) -> SceneSpec:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid scene spec: {e.msg}", line=e.lineno) from e
-    if doc.get("format") != SCENE_FORMAT:
-        raise ParseError(f"unsupported scene format {doc.get('format')!r}, expected {SCENE_FORMAT!r}")
-    extent = tuple(tuple(float(v) for v in r) for r in doc["extent"])
-    period = doc.get("aliasing_period")
-    return SceneSpec(
-        scene_id=str(doc["scene_id"]),
-        extent=extent,
-        feature_dim=int(doc["feature_dim"]),
-        nuisance_dim=int(doc["nuisance_dim"]),
-        noise_sigma=float(doc["noise_sigma"]),
-        aliasing_period=None if period is None else float(period),
-        generator_seed=int(doc["generator_seed"]),
-        yaw_range_deg=tuple(float(v) for v in doc.get("yaw_range_deg", (-90.0, 90.0))),
-        pitch_roll_std_deg=float(doc.get("pitch_roll_std_deg", 3.0)),
-    )
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != SCENE_FORMAT:
+        raise ParseError(f"unsupported scene format {fmt!r}, expected {SCENE_FORMAT!r}")
+    try:
+        period = doc.get("aliasing_period")
+        return SceneSpec(
+            scene_id=str(doc["scene_id"]),
+            extent=tuple(tuple(float(v) for v in r) for r in doc["extent"]),
+            feature_dim=int(doc["feature_dim"]),
+            nuisance_dim=int(doc["nuisance_dim"]),
+            noise_sigma=float(doc["noise_sigma"]),
+            aliasing_period=None if period is None else float(period),
+            generator_seed=int(doc["generator_seed"]),
+            yaw_range_deg=tuple(float(v) for v in doc.get("yaw_range_deg", (-90.0, 90.0))),
+            pitch_roll_std_deg=float(doc.get("pitch_roll_std_deg", 3.0)),
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"invalid scene spec: {e}") from e
 
 
 def save_dataset(dirpath: str | os.PathLike, dataset: SceneDataset) -> None:

@@ -287,14 +287,14 @@ def test_01_gradient_oracle():
     checked = 0
 
     nets = [
-        # (layer widths, dropout_p, aux_after, beta, batch size, seed)
-        ((5, 8, 7), 0.4, None, 7.0, 3, 101),
-        ((4, 10, 7), 0.0, None, 1.0, 2, 102),
-        ((6, 12, 9, 7), 0.4, 0, 50.0, 3, 103),
-        ((7, 7), 0.4, None, 3.0, 1, 104),
-        ((3, 14, 7), 0.4, 0, 20.0, 2, 105),
+        # (layer widths, dropout_p, beta, batch size, seed)
+        ((5, 8, 7), 0.4, 7.0, 3, 101),
+        ((4, 10, 7), 0.0, 1.0, 2, 102),
+        ((6, 12, 9, 7), 0.4, 50.0, 3, 103),
+        ((7, 7), 0.4, 3.0, 1, 104),
+        ((3, 14, 7), 0.4, 20.0, 2, 105),
     ]
-    for widths, p, aux_after, beta, batch_size, seed in nets:
+    for widths, p, beta, batch_size, seed in nets:
         specs = []
         n = len(widths) - 1
         for i in range(n):
@@ -306,7 +306,7 @@ def test_01_gradient_oracle():
                     activation="identity" if i == n - 1 else "relu",
                 )
             )
-        net = build_network(specs, p, seed, aux_after=aux_after)
+        net = build_network(specs, p, seed)
         rng = derive_rng(seed, 77)
         # Small random biases exercise the bias gradients; the offset on the
         # quaternion w keeps the raw output invertible even when a mask
@@ -314,9 +314,6 @@ def test_01_gradient_oracle():
         for layer in net.layers:
             layer.bias[:] = rng.normal(size=layer.bias.size) * 0.05
         net.layers[-1].bias[3] += 1.0
-        if net.aux is not None:
-            net.aux.bias[:] = rng.normal(size=net.aux.bias.size) * 0.05
-            net.aux.bias[3] += 1.0
         batch = [
             (rng.normal(size=widths[0]), _random_pose(rng)) for _ in range(batch_size)
         ]
@@ -333,9 +330,6 @@ def test_01_gradient_oracle():
         for li, layer in enumerate(net.layers):
             params.append((layer.weights, analytic.layers[li][0]))
             params.append((layer.bias, analytic.layers[li][1]))
-        if net.aux is not None:
-            params.append((net.aux.weights, analytic.aux[0]))
-            params.append((net.aux.bias, analytic.aux[1]))
 
         for arr, grad in params:
             flat, gflat = arr.reshape(-1), np.asarray(grad).reshape(-1)

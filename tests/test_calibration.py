@@ -423,6 +423,35 @@ class TestCalibrationFile:
         with pytest.raises(ParseError):
             load_calibration(path)
 
+    def test_rejects_non_object(self, tmp_path):
+        path = tmp_path / "cal.json"
+        path.write_text("[]\n")
+        with pytest.raises(ParseError, match="format"):
+            load_calibration(path)
+
+    @pytest.mark.parametrize("field", ["trans", "source_scene", "rot_trend"])
+    def test_rejects_missing_field(self, tmp_path, field):
+        rng = np.random.default_rng(74)
+        model = calibrate(rng.gamma(2.0, 1.5, size=(60, 2)), "shopfront")
+        path = tmp_path / "cal.json"
+        save_calibration(path, model)
+        doc = json.loads(path.read_text())
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=field):
+            load_calibration(path)
+
+    def test_rejects_wrongly_typed_field(self, tmp_path):
+        rng = np.random.default_rng(75)
+        model = calibrate(rng.gamma(2.0, 1.5, size=(60, 2)), "shopfront")
+        path = tmp_path / "cal.json"
+        save_calibration(path, model)
+        doc = json.loads(path.read_text())
+        doc["rot"] = [1.0, 2.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_calibration(path)
+
     def test_population_floor_enforced_on_load(self, tmp_path):
         rng = np.random.default_rng(72)
         model = calibrate(

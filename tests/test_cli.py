@@ -192,6 +192,14 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "comma-separated" in capsys.readouterr().err
 
+    def test_aux_after_is_not_an_option(self, pipeline, capsys):
+        code = cli([
+            "train", "--data", str(pipeline["data"]), "--aux-after", "0",
+            "--out", str(pipeline["root"] / "x.net"),
+        ])
+        assert code == EXIT_USAGE
+        assert "--aux-after" in capsys.readouterr().err
+
     def test_empty_hidden_list(self, pipeline, capsys):
         code = cli([
             "train", "--data", str(pipeline["data"]), "--hidden", ",",
@@ -239,6 +247,40 @@ class TestDataErrors:
         code = cli(["hist", "--table", str(bad), "--out", str(tmp_path / "h.tsv")])
         assert code == EXIT_DATA
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("drop", [None, "trans"])
+    def test_eval_on_malformed_calibration(self, pipeline, tmp_path, capsys, drop):
+        bad = tmp_path / "bad.cal"
+        if drop is None:
+            bad.write_text("[]\n")
+        else:
+            doc = json.loads(pipeline["cal"].read_text())
+            del doc[drop]
+            bad.write_text(json.dumps(doc))
+        code = cli([
+            "eval", "--net", str(pipeline["net"]), "--cal", str(bad),
+            "--data", str(pipeline["data"]), "--samples", "2", "--out", str(tmp_path / "e"),
+        ])
+        assert code == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+    def test_gen_from_spec_missing_extent(self, tmp_path, capsys):
+        spec_path = tmp_path / "scene.json"
+        save_scene_spec(spec_path, SceneSpec(scene_id="gamma", feature_dim=8))
+        doc = json.loads(spec_path.read_text())
+        del doc["extent"]
+        spec_path.write_text(json.dumps(doc))
+        code = cli(["gen", "--spec", str(spec_path), "--out", str(tmp_path / "d")])
+        assert code == EXIT_DATA
+        assert "extent" in capsys.readouterr().err
+
+    def test_time_needs_at_least_one_query(self, pipeline, capsys):
+        code = cli([
+            "time", "--net", str(pipeline["net"]), "--data", str(pipeline["data"]),
+            "--samples", "2", "--min-queries", "0",
+        ])
+        assert code == EXIT_DATA
+        assert "min_queries" in capsys.readouterr().err
 
     def test_detect_dataset_scene_mismatch(self, pipeline, capsys):
         code = cli([

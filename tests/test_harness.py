@@ -341,6 +341,10 @@ class TestRunTiming:
         with pytest.raises(ValueError):
             run_timing(model, bad, num_samples=2, seed=0)
 
+    def test_min_queries_below_one_raises(self, model, dataset):
+        with pytest.raises(ValueError, match="min_queries"):
+            run_timing(model, dataset, num_samples=2, seed=0, min_queries=0)
+
 
 class TestQueryTableFiles:
     def test_round_trip_is_exact(self, report, tmp_path):

@@ -16,7 +16,6 @@ from bayesreloc.errors import (
 )
 from bayesreloc.geometry import LossConfig, Pose, UnitQuaternion, Vec3, normalize, pose_loss
 from bayesreloc.regressor import (
-    AUX_LOSS_WEIGHT,
     POSE_WIDTH,
     DropoutMask,
     LayerSpec,
@@ -27,7 +26,6 @@ from bayesreloc.regressor import (
     draw_masks,
     feature_embedding,
     forward,
-    forward_aux,
     load_checkpoint,
     loss_gradient,
     save_checkpoint,
@@ -58,8 +56,6 @@ def _total_loss(net, batch, masks, config):
     for i, (features, pose) in enumerate(batch):
         mask = None if masks is None else masks[i]
         total += pose_loss(forward(net, features, mask), pose, config)
-        if net.aux is not None:
-            total += AUX_LOSS_WEIGHT * pose_loss(forward_aux(net, features, mask), pose, config)
     return total / len(batch)
 
 
@@ -89,15 +85,13 @@ def _fd_check(net, batch, masks, config, h=1e-5, rel=1e-4, floor=1e-7):
     for layer, (d_w, d_b) in zip(net.layers, grads.layers):
         check(layer.weights, d_w, None)
         check(layer.bias, d_b, None)
-    if net.aux is not None:
-        check(net.aux.weights, grads.aux[0], None)
-        check(net.aux.bias, grads.aux[1], None)
     return worst
 
 
 def _fast_path_nets():
     """Nets the array fast paths are checked on, keyed by what they cover."""
     return {
+        # two dropout layers (the key name keeps the test ids stable)
         "aux_dropout": build_network(
             [
                 LayerSpec(6, 12, activation="identity"),
@@ -106,7 +100,6 @@ def _fast_path_nets():
             ],
             0.25,
             seed=700,
-            aux_after=0,
         ),
         "no_dropout": build_network(
             [LayerSpec(6, 16), LayerSpec(16, 7, activation="identity")], 0.5, seed=701
@@ -121,8 +114,7 @@ def _fast_path_nets():
 
 def _mask_row(mask):
     """A DropoutMask's vectors end to end, in draw_masks layout."""
-    aux = [] if mask.aux_mask is None else [mask.aux_mask]
-    return np.concatenate([np.zeros(0), *mask.layer_masks, *aux])
+    return np.concatenate([np.zeros(0), *mask.layer_masks])
 
 
 def _reference_train(net, dataset, config):
@@ -133,8 +125,6 @@ def _reference_train(net, dataset, config):
     """
     params = net.copy()
     arrays = [(layer.weights, layer.bias) for layer in params.layers]
-    if params.aux is not None:
-        arrays.append((params.aux.weights, params.aux.bias))
     velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in arrays]
     counter = 0
     epoch_losses = []
@@ -147,8 +137,7 @@ def _reference_train(net, dataset, config):
             counter += len(batch)
             grads = loss_gradient(params, batch, masks, config.loss)
             loss_sum += grads.mean_loss * len(batch)
-            steps = grads.layers + ([] if grads.aux is None else [grads.aux])
-            for (w, b), (v_w, v_b), (d_w, d_b) in zip(arrays, velocity, steps):
+            for (w, b), (v_w, v_b), (d_w, d_b) in zip(arrays, velocity, grads.layers):
                 v_w[...] = config.momentum * v_w - config.learning_rate * d_w
                 v_b[...] = config.momentum * v_b - config.learning_rate * d_b
                 w += v_w
@@ -227,19 +216,6 @@ class TestBuildNetwork:
             assert np.abs(layer.weights).max() <= limit
             assert np.all(layer.bias == 0.0)
 
-    def test_aux_after_validation(self):
-        specs = [
-            LayerSpec(16, 32),
-            LayerSpec(32, 32),
-            LayerSpec(32, 7, activation="identity"),
-        ]
-        net = build_network(specs, 0.5, seed=1, aux_after=0)
-        assert net.aux is not None and net.aux.after_layer == 0
-        with pytest.raises(InvalidArchitecture):
-            build_network(specs, 0.5, seed=1, aux_after=2)
-        with pytest.raises(InvalidArchitecture):
-            build_network(specs, 0.5, seed=1, aux_after=-1)
-
 
 class TestDrawMask:
     def _net(self):
@@ -301,7 +277,6 @@ class TestDrawMask:
         )
         mask = draw_mask(net, 1, 0)
         assert mask.layer_masks == ()
-        assert mask.aux_mask is None
 
 
 class TestDrawMasks:
@@ -310,8 +285,6 @@ class TestDrawMasks:
         net = _fast_path_nets()[name]
         block = draw_masks(net, 31, 5, 9)
         width = sum(v.size for v in draw_mask(net, 31, 0).layer_masks)
-        if net.aux is not None:
-            width += net.aux.weights.shape[1]
         assert block.shape == (9, width)
         for j, row in enumerate(block):
             np.testing.assert_array_equal(row, _mask_row(draw_mask(net, 31, 5 + j)))
@@ -494,18 +467,6 @@ class TestLossGradient:
         masks = [draw_mask(net, 55, i) for i in range(3)]
         _fd_check(net, batch, masks, LossConfig(1.5))
 
-    def test_finite_difference_with_aux_head(self):
-        rng = np.random.default_rng(19)
-        specs = [
-            LayerSpec(4, 9),
-            LayerSpec(9, 8, has_dropout=True),
-            LayerSpec(8, 7, has_dropout=True, activation="identity"),
-        ]
-        net = build_network(specs, 0.3, seed=300, aux_after=1)
-        batch = _random_batch(rng, 4, 3)
-        masks = [draw_mask(net, 66, i) for i in range(3)]
-        _fd_check(net, batch, masks, LossConfig(4.0))
-
     def test_beta_linearity(self):
         # the orientation share of the gradient scales linearly in beta, so
         # consecutive unit increments of beta add the same orientation-only
@@ -609,9 +570,6 @@ class TestTrain:
         for got, want in zip(result.net.layers, ref_net.layers):
             np.testing.assert_array_equal(got.weights, want.weights)
             np.testing.assert_array_equal(got.bias, want.bias)
-        if net.aux is not None:
-            np.testing.assert_array_equal(result.net.aux.weights, ref_net.aux.weights)
-            np.testing.assert_array_equal(result.net.aux.bias, ref_net.aux.bias)
 
     def test_linear_fixture_converges(self):
         # one identity layer fitting an exactly-linear map with dropout off:
@@ -651,20 +609,6 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(1e-3, 8, 1, LossConfig(1.0), seed=1, momentum=1.0)
 
-    def test_aux_head_trains(self):
-        # identity first layer keeps the tapped activations dense, so the
-        # aux head's raw quaternion cannot mask down to zero norm at init
-        rng = np.random.default_rng(35)
-        specs = [
-            LayerSpec(6, 12, activation="identity"),
-            LayerSpec(12, 10, has_dropout=True),
-            LayerSpec(10, 7, has_dropout=True, activation="identity"),
-        ]
-        net = build_network(specs, 0.25, seed=506, aux_after=0)
-        data = _random_batch(rng, 6, 40)
-        result = train(net, data, TrainConfig(1e-3, 8, 3, LossConfig(1.0), seed=4))
-        assert not np.array_equal(result.net.aux.weights, net.aux.weights)
-
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -676,7 +620,6 @@ class TestCheckpoint:
             ],
             0.5,
             seed=600,
-            aux_after=0,
         )
         path = tmp_path / "net.json"
         save_checkpoint(path, net)
@@ -688,8 +631,6 @@ class TestCheckpoint:
             assert la.spec == lb.spec
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.bias, lb.bias)
-        assert again.aux.after_layer == net.aux.after_layer
-        np.testing.assert_array_equal(again.aux.weights, net.aux.weights)
         # the restored network must behave identically
         rng = np.random.default_rng(5)
         x = rng.normal(size=9)
@@ -722,12 +663,11 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-    def _saved_doc(self, tmp_path, aux_after=None):
+    def _saved_doc(self, tmp_path):
         net = build_network(
             [LayerSpec(4, 6), LayerSpec(6, 7, has_dropout=True, activation="identity")],
             0.5,
             seed=603,
-            aux_after=aux_after,
         )
         path = tmp_path / "net.json"
         save_checkpoint(path, net)
@@ -748,11 +688,6 @@ class TestCheckpoint:
         doc["layers"][0]["weights"][1][2] = float("nan")
         self._rejects(path, doc)
 
-    def test_non_finite_aux_bias(self, tmp_path):
-        path, doc = self._saved_doc(tmp_path, aux_after=0)
-        doc["aux"]["bias"][0] = float("inf")
-        self._rejects(path, doc)
-
     def test_widths_that_do_not_chain(self, tmp_path):
         # every layer's own shapes agree; only the chain 4x6 -> 5x7 breaks
         path, doc = self._saved_doc(tmp_path)
@@ -761,44 +696,29 @@ class TestCheckpoint:
         last["weights"] = [row[:5] for row in last["weights"]]
         self._rejects(path, doc)
 
-    def test_aux_head_shape(self, tmp_path):
-        path, doc = self._saved_doc(tmp_path, aux_after=0)
-        doc["aux"]["weights"] = [row[:5] for row in doc["aux"]["weights"]]
-        self._rejects(path, doc)
+    def test_reads_older_file_with_null_aux(self, tmp_path):
+        # files written before the auxiliary head was removed end in "aux": null
+        path, doc = self._saved_doc(tmp_path)
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps({**doc, "aux": None}) + "\n")
+        again, net = load_checkpoint(older), load_checkpoint(path)
+        assert (again.dropout_p, again.seed) == (net.dropout_p, net.seed)
+        for la, lb in zip(net.layers, again.layers):
+            assert la.spec == lb.spec
+            np.testing.assert_array_equal(la.weights, lb.weights)
+            np.testing.assert_array_equal(la.bias, lb.bias)
 
-    def test_aux_tap_out_of_range(self, tmp_path):
-        path, doc = self._saved_doc(tmp_path, aux_after=0)
-        doc["aux"]["after_layer"] = 1
-        self._rejects(path, doc)
+    def test_rejects_aux_head(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["aux"] = {"after_layer": 0, "has_dropout": True, "weights": [[0.0] * 6] * 7, "bias": [0.0] * 7}
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ParseError, match="aux"):
+            load_checkpoint(path)
 
-    @pytest.mark.parametrize("aux_after", [None, 0])
-    def test_bytes_match_json_dump(self, tmp_path, aux_after):
+    def test_bytes_match_json_dump(self, tmp_path):
         # the piecewise writer must give the bytes json.dump writes
-        path, doc = self._saved_doc(tmp_path, aux_after=aux_after)
+        path, doc = self._saved_doc(tmp_path)
         buf = io.StringIO()
         json.dump(doc, buf)
         assert path.read_text() == buf.getvalue() + "\n"
 
-
-class TestForwardAux:
-    def test_requires_head(self):
-        net = build_network([LayerSpec(3, 7, activation="identity")], 0.0, seed=1)
-        with pytest.raises(InvalidArchitecture):
-            forward_aux(net, np.zeros(3))
-
-    def test_matches_manual_tap(self):
-        net = build_network(
-            [
-                LayerSpec(5, 8),
-                LayerSpec(8, 6, has_dropout=True),
-                LayerSpec(6, 7, has_dropout=True, activation="identity"),
-            ],
-            0.0,
-            seed=602,
-            aux_after=0,
-        )
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=5)
-        h = np.maximum(net.layers[0].weights @ x + net.layers[0].bias, 0.0)
-        manual = net.aux.weights @ h + net.aux.bias
-        np.testing.assert_allclose(forward_aux(net, x), manual, atol=1e-15)

@@ -1,5 +1,6 @@
 """Tests for synthetic scene generation and the dataset file format."""
 
+import json
 import math
 
 import numpy as np
@@ -336,6 +337,35 @@ class TestSceneSpecFiles:
         path = tmp_path / "scene.json"
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(ParseError):
+            load_scene_spec(path)
+
+    def test_rejects_non_object(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text("[]\n")
+        with pytest.raises(ParseError, match="format"):
+            load_scene_spec(path)
+
+    @pytest.mark.parametrize("field", ["extent", "scene_id", "generator_seed"])
+    def test_rejects_missing_field(self, tmp_path, field):
+        path = tmp_path / "scene.json"
+        save_scene_spec(path, _small_spec())
+        doc = json.loads(path.read_text())
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=field):
+            load_scene_spec(path)
+
+    def test_rejects_malformed_extent(self, tmp_path):
+        path = tmp_path / "scene.json"
+        save_scene_spec(path, _small_spec())
+        doc = json.loads(path.read_text())
+        doc["extent"] = [[0.0, 1.0, 2.0], [0.0, 1.0], [0.0, 1.0]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_scene_spec(path)
+        doc["extent"] = [[0.0, 1.0], [0.0, 1.0]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidSpec):
             load_scene_spec(path)
 
     def test_invalid_json_reports_line(self, tmp_path):
