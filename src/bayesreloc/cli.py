@@ -38,7 +38,7 @@ from .harness import (
     write_summary,
     write_sweep,
 )
-from .mc_posterior import localize
+from .mc_posterior import MAX_NUM_SAMPLES, localize
 from .regressor import (
     LayerSpec,
     TrainConfig,
@@ -97,11 +97,30 @@ def _float_list(text: str, flag: str) -> list[float]:
         raise _UsageError(f"{flag} expects comma-separated numbers: {e}") from e
 
 
+def _bounded_int(lo: int, hi: int | None = None):
+    """An argparse type: an integer no less than lo (and no more than hi)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
     common.add_argument(
-        "--samples", type=int, default=40, help="Monte Carlo samples per query (default 40)"
+        "--samples",
+        type=_bounded_int(1, MAX_NUM_SAMPLES),
+        default=40,
+        help=f"Monte Carlo samples per query, 1 to {MAX_NUM_SAMPLES} (default 40)",
     )
 
     parser = _Parser(prog="bayesreloc", description=__doc__)
@@ -151,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--counts", default="1,5,40,128")
-    p.add_argument("--reps", type=int, default=8)
+    p.add_argument("--reps", type=_bounded_int(1), default=8)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
@@ -177,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("time", parents=[common], help="wall-clock statistics per query")
     p.add_argument("--net", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--min-queries", type=int, default=100)
+    p.add_argument("--min-queries", type=_bounded_int(1), default=100)
     p.add_argument("--out", default=None, help="optional output file")
     p.set_defaults(func=_cmd_time)
 
@@ -289,11 +308,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    net = load_checkpoint(args.net)
-    dataset = load_dataset(args.data)
     counts = _int_list(args.counts, "--counts")
     if not counts:
         raise _UsageError("--counts needs at least one sample count")
+    if not all(0 <= c <= MAX_NUM_SAMPLES for c in counts):
+        raise _UsageError(f"--counts must lie in [0, {MAX_NUM_SAMPLES}], got {args.counts}")
+    net = load_checkpoint(args.net)
+    dataset = load_dataset(args.data)
     sweep = run_sweep(net, dataset, counts, args.reps, args.seed)
     write_sweep(args.out, sweep)
     print(f"swept counts {sorted(set(counts) | {0})} with {args.reps} repetitions; wrote {args.out}")
@@ -301,10 +322,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_hist(args) -> int:
-    records = read_query_table(args.table)
     thresholds = _float_list(args.thresholds, "--thresholds")
+    if not thresholds:
+        raise _UsageError("--thresholds needs at least one threshold")
     if thresholds != sorted(thresholds):
         raise _UsageError("--thresholds must be sorted ascending")
+    records = read_query_table(args.table)
     hist = run_histogram(records, thresholds)
     write_histogram(args.out, hist)
     print(f"histogram over {hist.query_count} queries at {len(thresholds)} thresholds; wrote {args.out}")

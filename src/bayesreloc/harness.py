@@ -371,12 +371,11 @@ def read_query_table(path: str | os.PathLike) -> list[QueryRecord]:
             raise ParseError(
                 f"expected {len(_TABLE_COLUMNS)} columns, got {len(parts)}", line=lineno
             )
+        # Unparsable numbers, non-finite positions and non-unit quaternions
+        # all name the offending line.
         try:
             v = [float(p) for p in parts[1:]]
-        except ValueError as e:
-            raise ParseError(str(e), line=lineno) from e
-        records.append(
-            QueryRecord(
+            record = QueryRecord(
                 query_id=parts[0],
                 true_pose=Pose(Vec3(*v[0:3]), UnitQuaternion.from_array(v[3:7])),
                 est_pose=Pose(Vec3(*v[7:10]), UnitQuaternion.from_array(v[10:14])),
@@ -389,7 +388,9 @@ def read_query_table(path: str | os.PathLike) -> list[QueryRecord]:
                 z_combined=v[20],
                 nn_feature_distance=v[21],
             )
-        )
+        except ValueError as e:
+            raise ParseError(str(e), line=lineno) from e
+        records.append(record)
     return records
 
 

@@ -7,7 +7,10 @@ dropped with probability p, and surviving activations are scaled by
 Masks are pure functions of (master_seed, sample_index); training and
 Monte Carlo sampling are therefore exactly reproducible.
 Masks are arrays inside the module (``draw_masks``, one row per pass);
-``DropoutMask`` cuts a row into vectors at the API edge.  One layer loop
+``DropoutMask`` cuts a row into vectors at the API edge.  ``draw_mask``
+is the reference derivation of one pass and serves Monte Carlo sampling,
+which draws one pass at a time; ``draw_masks`` hashes a training
+batch's seeds together and gives the same rows.  One layer loop
 serves every pass, and ``train`` stacks the dataset into arrays once.
 """
 
@@ -29,7 +32,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .geometry import NORM_FLOOR, LossConfig, Pose
-from .seeding import derive_rng
+from .seeding import derive_rng, derive_rngs
 
 POSE_WIDTH = 7
 CHECKPOINT_FORMAT = "bayesreloc-net-v1"
@@ -185,14 +188,14 @@ def _split_masks(net: NetworkParams, block: np.ndarray) -> list[np.ndarray]:
 def draw_masks(net: NetworkParams, master_seed: int, start: int, count: int) -> np.ndarray:
     """Keep/drop patterns of passes start, ..., start + count - 1 as one block.
 
-    Row j holds pass start + j's vectors end to end, dropout layers in
-    order, all drawn from the one stream keyed by (master_seed, start + j);
-    0 drops the unit, 1 keeps it.
+    Row j holds :func:`draw_mask` (master_seed, start + j)'s vectors end
+    to end, dropout layers in order; 0 drops the unit, 1 keeps it.  The
+    block's streams come from :func:`derive_rngs`, which hashes their
+    seeds together: training draws one block per batch.
     """
-    total = sum(_mask_widths(net))
-    block = np.empty((count, total))
-    for j in range(count):
-        derive_rng(master_seed, start + j).random(out=block[j])
+    block = np.empty((count, sum(_mask_widths(net))))
+    for row, rng in zip(block, derive_rngs((master_seed,), start, count)):
+        rng.random(out=row)
     return (block >= net.dropout_p).astype(float)
 
 
@@ -201,9 +204,12 @@ def draw_mask(net: NetworkParams, master_seed: int, sample_index: int) -> Dropou
 
     A pure function of (master_seed, sample_index): the same pair always
     yields the same mask regardless of how calls are ordered or batched.
-    It is the one-row view of :func:`draw_masks`.
+    This is the reference derivation, one ``derive_rng`` stream per pass.
+    Monte Carlo sampling draws one pass at a time through it, because the
+    block hash of :func:`draw_masks` costs several single draws up front.
     """
-    return DropoutMask(tuple(_split_masks(net, draw_masks(net, master_seed, sample_index, 1)[0])))
+    row = derive_rng(master_seed, sample_index).random(sum(_mask_widths(net)))
+    return DropoutMask(tuple(_split_masks(net, (row >= net.dropout_p).astype(float))))
 
 
 def _check_input(net: NetworkParams, x) -> np.ndarray:

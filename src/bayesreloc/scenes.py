@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateQuaternion, InvalidSpec, ParseError, ShapeMismatch
 from .geometry import Pose, Vec3, normalize
-from .seeding import derive_rng
+from .seeding import derive_rng, derive_rngs
 
 DATA_FORMAT = "bayesreloc-data-v1"
 SCENE_FORMAT = "bayesreloc-scene-v1"
@@ -221,7 +221,9 @@ def generate_scene(
     Calib and test poses are uniform over the extent; train poses follow
     the survey-coverage skew along x.  Yaw is uniform in the configured
     range plus small Gaussian pitch/roll.  Every example is a pure
-    function of (generator_seed, split, index).
+    function of (generator_seed, split, index): its stream is
+    ``derive_rng(generator_seed, split_tag, index)``, and
+    :func:`derive_rngs` hashes a split's seeds together.
     """
     if n_train < 1 or n_test < 1:
         raise InvalidSpec(f"split sizes must be >= 1, got train={n_train} test={n_test}")
@@ -233,8 +235,7 @@ def generate_scene(
     for split, count in (("train", n_train), ("calib", n_calib), ("test", n_test)):
         tag = _SPLIT_TAGS[split]
         examples = []
-        for i in range(count):
-            rng = derive_rng(spec.generator_seed, tag, i)
+        for i, rng in enumerate(derive_rngs((spec.generator_seed, tag), 0, count)):
             pose = _sample_pose(spec, rng, survey_bias=(split == "train"))
             nuisance = rng.normal(size=spec.nuisance_dim)
             features = fmap(pose, nuisance)

@@ -217,6 +217,57 @@ class TestUsageErrors:
         assert "sorted" in capsys.readouterr().err
 
 
+    def test_empty_thresholds(self, tmp_path, capsys):
+        # Flags are checked before the table is read.
+        code = cli([
+            "hist", "--table", str(tmp_path / "absent.tsv"),
+            "--thresholds", ",", "--out", str(tmp_path / "h.tsv"),
+        ])
+        assert code == EXIT_USAGE
+        assert "--thresholds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "129"])
+    @pytest.mark.parametrize("command", ["calibrate", "eval", "detect", "time"])
+    def test_samples_out_of_range(self, pipeline, tmp_path, capsys, command, samples):
+        net, cal, data = str(pipeline["net"]), str(pipeline["cal"]), str(pipeline["data"])
+        out = str(tmp_path / "out")
+        args = {
+            "calibrate": ["--net", net, "--data", data, "--out", out],
+            "eval": ["--net", net, "--cal", cal, "--data", data, "--out", out],
+            "detect": ["--scene", "alpha", net, cal, data, "--scene", "beta", net, cal, data,
+                       "--out", out],
+            "time": ["--net", net, "--data", data, "--out", out],
+        }[command]
+        assert cli([command, *args, "--samples", samples]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--samples" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_sweep_needs_a_repetition(self, pipeline, tmp_path, capsys):
+        code = cli([
+            "sweep", "--net", str(pipeline["net"]), "--data", str(pipeline["data"]),
+            "--reps", "0", "--out", str(tmp_path / "s.tsv"),
+        ])
+        assert code == EXIT_USAGE
+        assert "--reps" in capsys.readouterr().err
+
+    def test_sweep_counts_out_of_range(self, pipeline, tmp_path, capsys):
+        code = cli([
+            "sweep", "--net", str(pipeline["net"]), "--data", str(pipeline["data"]),
+            "--counts", "1,200", "--out", str(tmp_path / "s.tsv"),
+        ])
+        assert code == EXIT_USAGE
+        assert "--counts" in capsys.readouterr().err
+
+    def test_time_needs_at_least_one_query(self, pipeline, capsys):
+        code = cli([
+            "time", "--net", str(pipeline["net"]), "--data", str(pipeline["data"]),
+            "--samples", "2", "--min-queries", "0",
+        ])
+        assert code == EXIT_USAGE
+        assert "--min-queries" in capsys.readouterr().err
+
+
 class TestDataErrors:
     def test_missing_dataset_directory(self, tmp_path, capsys):
         code = cli([
@@ -274,13 +325,20 @@ class TestDataErrors:
         assert code == EXIT_DATA
         assert "extent" in capsys.readouterr().err
 
-    def test_time_needs_at_least_one_query(self, pipeline, capsys):
-        code = cli([
-            "time", "--net", str(pipeline["net"]), "--data", str(pipeline["data"]),
-            "--samples", "2", "--min-queries", "0",
-        ])
+    def test_hist_names_the_line_of_a_bad_pose(self, pipeline, tmp_path, capsys):
+        assert cli([
+            "eval", "--net", str(pipeline["net"]), "--cal", str(pipeline["cal"]),
+            "--data", str(pipeline["data"]), "--samples", "2", "--out", str(tmp_path / "e"),
+        ]) == EXIT_OK
+        table = tmp_path / "e.queries.tsv"
+        lines = table.read_text().splitlines(keepends=True)
+        parts = lines[3].split("\t")
+        parts[1] = "nan"
+        lines[3] = "\t".join(parts)
+        table.write_text("".join(lines))
+        code = cli(["hist", "--table", str(table), "--out", str(tmp_path / "h.tsv")])
         assert code == EXIT_DATA
-        assert "min_queries" in capsys.readouterr().err
+        assert "line 4" in capsys.readouterr().err
 
     def test_detect_dataset_scene_mismatch(self, pipeline, capsys):
         code = cli([

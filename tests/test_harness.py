@@ -415,6 +415,24 @@ class TestQueryTableFiles:
             read_query_table(path)
         assert e.value.line == 4
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [(1, "nan", "non-finite position"), (4, "2.0", "quaternion norm")],
+        ids=["nan_position", "non_unit_quaternion"],
+    )
+    def test_bad_pose_reports_line(self, report, tmp_path, column, value, message):
+        # Row 2 of the table is line 4 of the file.
+        path = tmp_path / "q.tsv"
+        write_query_table(path, report)
+        lines = path.read_text().splitlines(keepends=True)
+        parts = lines[3].split("\t")
+        parts[column] = value
+        lines[3] = "\t".join(parts)
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError, match=message) as e:
+            read_query_table(path)
+        assert e.value.line == 4
+
     def test_blank_lines_are_skipped(self, report, tmp_path):
         path = tmp_path / "q.tsv"
         write_query_table(path, report)
