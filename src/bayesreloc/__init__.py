@@ -78,7 +78,6 @@ from .mc_posterior import (
     write_sample_dump,
 )
 from .regressor import (
-    DropoutMask,
     Layer,
     LayerSpec,
     NetworkParams,

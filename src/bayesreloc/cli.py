@@ -116,7 +116,9 @@ def _bounded_int(lo: int, hi: int | None = None):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
-    common.add_argument(
+    # Monte Carlo commands only: the others would accept and ignore it.
+    sampled = _Parser(add_help=False, parents=[common])
+    sampled.add_argument(
         "--samples",
         type=_bounded_int(1, MAX_NUM_SAMPLES),
         default=40,
@@ -148,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint file")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("calibrate", parents=[common], help="fit per-scene gamma calibration")
+    p = sub.add_parser("calibrate", parents=[sampled], help="fit per-scene gamma calibration")
     p.add_argument("--net", required=True)
     p.add_argument("--data", required=True)
     p.add_argument(
@@ -159,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="calibration file")
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate on the test split")
+    p = sub.add_parser("eval", parents=[sampled], help="evaluate on the test split")
     p.add_argument("--net", required=True)
     p.add_argument("--cal", required=True)
     p.add_argument("--data", required=True)
@@ -180,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_hist)
 
-    p = sub.add_parser("detect", parents=[common], help="scene recognition confusion matrix")
+    p = sub.add_parser("detect", parents=[sampled], help="scene recognition confusion matrix")
     p.add_argument(
         "--scene",
         nargs=4,
@@ -193,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("time", parents=[common], help="wall-clock statistics per query")
+    p = sub.add_parser("time", parents=[sampled], help="wall-clock statistics per query")
     p.add_argument("--net", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--min-queries", type=_bounded_int(1), default=100)

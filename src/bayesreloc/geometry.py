@@ -144,24 +144,26 @@ def rotation_error_deg(a: UnitQuaternion, b: UnitQuaternion) -> float:
     return math.degrees(2.0 * math.acos(d))
 
 
-def quaternion_mean(samples: Sequence[UnitQuaternion]) -> UnitQuaternion:
-    """Average a cluster of rotations.
+def hemisphere_aligned(rows) -> np.ndarray:
+    """A copy of unit quaternion rows, each sign-flipped into row 0's hemisphere."""
+    rows = np.array(rows, dtype=float)
+    flip = rows @ rows[0] < 0.0
+    rows[flip] = -rows[flip]
+    return rows
 
-    Each sample is sign-flipped into the hemisphere of the first one, the
+
+def quaternion_mean(rows) -> UnitQuaternion:
+    """Average a cluster of rotations given as an (N, 4) array of unit rows.
+
+    Each row is sign-flipped into the hemisphere of the first one, the
     components are averaged, and the result is renormalized.  For tight
     unimodal clusters this is the chordal L2 mean.  Raises DegenerateMean
-    when the aligned samples cancel out (antipodal or widely spread sets).
+    when the aligned rows cancel out (antipodal or widely spread sets).
     """
-    if len(samples) == 0:
-        raise ValueError("cannot average an empty set of quaternions")
-    ref = samples[0]
-    acc = np.zeros(4)
-    for q in samples:
-        v = q.as_array()
-        if q.dot(ref) < 0.0:
-            v = -v
-        acc += v
-    acc /= len(samples)
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != 4:
+        raise ValueError(f"expected a nonempty (N, 4) array of quaternions, got shape {rows.shape}")
+    acc = hemisphere_aligned(rows).mean(axis=0)
     n = float(np.linalg.norm(acc))
     if n <= UNIT_TOL:
         raise DegenerateMean(f"aligned quaternion mean has norm {n!r}")

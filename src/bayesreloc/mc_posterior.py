@@ -3,7 +3,9 @@
 Repeated stochastic forward passes through a dropout network give a cloud
 of pose hypotheses.  The point estimate is the sample mean (componentwise
 for position, hemisphere-aligned mean for orientation) and the uncertainty
-per channel is the trace of the sample covariance.
+per channel is the trace of the sample covariance.  Sample sets and their
+statistics stay arrays; ``Vec3`` and ``UnitQuaternion`` appear only in
+the estimate handed back.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
-from .geometry import Pose, UnitQuaternion, Vec3, normalize, quaternion_mean
-from .regressor import NetworkParams, draw_mask, forward
+from .errors import DegenerateQuaternion, ParseError
+from .geometry import NORM_FLOOR, Pose, UnitQuaternion, Vec3, hemisphere_aligned, normalize, quaternion_mean
+from .regressor import POSE_WIDTH, NetworkParams, draw_mask, forward
 
 # Scatter statistics stop improving noticeably past this many passes.
 DEFAULT_NUM_SAMPLES = 40
@@ -55,6 +57,18 @@ class UncertaintyEstimate:
     degenerate: bool = False
 
 
+def _unit_rows(raw: np.ndarray) -> np.ndarray:
+    """Raw quaternion rows scaled to unit norm, bit for bit as :func:`normalize` scales each."""
+    w, x, y, z = raw.T
+    with np.errstate(over="ignore"):  # an infinite norm is rejected below
+        n = np.sqrt(w * w + x * x + y * y + z * z)
+    usable = np.isfinite(n) & (n > NORM_FLOOR)
+    if not usable.all():
+        first = float(n[np.argmin(usable)])
+        raise DegenerateQuaternion(f"quaternion norm {first!r} is unusable (floor {NORM_FLOOR})")
+    return raw / n[:, None]
+
+
 def sample_posterior(
     net: NetworkParams,
     x,
@@ -68,40 +82,17 @@ def sample_posterior(
     """
     if not (1 <= num_samples <= MAX_NUM_SAMPLES):
         raise ValueError(f"num_samples must be in [1, {MAX_NUM_SAMPLES}], got {num_samples}")
-    positions = np.empty((num_samples, 3))
-    quaternions = np.empty((num_samples, 4))
+    outs = np.empty((num_samples, POSE_WIDTH))
     for i in range(num_samples):
-        mask = draw_mask(net, master_seed, i)
-        out = forward(net, x, mask)
-        positions[i] = out[:3]
-        row = normalize(out[3:]).as_array()
-        if i > 0 and float(row @ quaternions[0]) < 0.0:
-            row = -row
-        quaternions[i] = row
-    return PoseSampleSet(positions, quaternions, num_samples, master_seed)
+        outs[i] = forward(net, x, draw_mask(net, master_seed, i))
+    quaternions = hemisphere_aligned(_unit_rows(outs[:, 3:]))
+    return PoseSampleSet(np.ascontiguousarray(outs[:, :3]), quaternions, num_samples, master_seed)
 
 
-def _canonical_sign(q: UnitQuaternion) -> UnitQuaternion:
-    """Flip sign so the first nonzero component is positive."""
-    for c in (q.w, q.x, q.y, q.z):
-        if c > 0.0:
-            return q
-        if c < 0.0:
-            return q.negated()
-    return q
-
-
-def _aligned_rows(quaternions: np.ndarray) -> np.ndarray:
-    """Hemisphere-align rows to row 0.
-
-    sample_posterior already stores aligned rows, but estimates must stay
-    unchanged if a caller hands in a set with some signs flipped, so the
-    scatter statistics re-align defensively.
-    """
-    rows = np.array(quaternions, dtype=float)
-    flip = rows @ rows[0] < 0.0
-    rows[flip] = -rows[flip]
-    return rows
+def _canonical_sign(row: np.ndarray) -> UnitQuaternion:
+    """The rotation of a unit row, signed so its first nonzero component is positive."""
+    lead = row[row != 0.0]
+    return UnitQuaternion.from_array(-row if lead.size and lead[0] < 0.0 else row)
 
 
 def estimate(samples: PoseSampleSet) -> UncertaintyEstimate:
@@ -114,20 +105,13 @@ def estimate(samples: PoseSampleSet) -> UncertaintyEstimate:
     """
     n = samples.sample_count
     positions = samples.positions
-    quats = _aligned_rows(samples.quaternions)
+    quats = hemisphere_aligned(samples.quaternions)
     pos_identical = bool(np.max(np.abs(positions - positions[0])) <= IDENTICAL_TOL)
     rot_identical = bool(np.max(np.abs(quats - quats[0])) <= IDENTICAL_TOL)
 
-    if pos_identical:
-        trans_mean = Vec3.from_array(positions[0])
-    else:
-        trans_mean = Vec3.from_array(positions.mean(axis=0))
-    if rot_identical:
-        rot_mean = _canonical_sign(normalize(quats[0]))
-    else:
-        rot_mean = _canonical_sign(
-            quaternion_mean([UnitQuaternion.from_array(row) for row in quats])
-        )
+    trans_mean = Vec3.from_array(positions[0] if pos_identical else positions.mean(axis=0))
+    rot_row = (normalize(quats[0]) if rot_identical else quaternion_mean(quats)).as_array()
+    rot_mean = _canonical_sign(rot_row)
 
     if n < 2:
         return UncertaintyEstimate(0.0, 0.0, trans_mean, rot_mean, degenerate=True)
@@ -147,7 +131,7 @@ def estimate_determinant(samples: PoseSampleSet) -> tuple[float, float]:
     if samples.sample_count < 2:
         raise ValueError("need at least 2 samples for covariance determinants")
     trans_cov = np.cov(samples.positions, rowvar=False, ddof=1)
-    rot_cov = np.cov(_aligned_rows(samples.quaternions), rowvar=False, ddof=1)
+    rot_cov = np.cov(hemisphere_aligned(samples.quaternions), rowvar=False, ddof=1)
     return float(np.linalg.det(trans_cov)), float(np.linalg.det(rot_cov))
 
 
@@ -181,7 +165,11 @@ def write_sample_dump(path: str | os.PathLike, samples: PoseSampleSet, query_id:
 
 
 def read_sample_dump(path: str | os.PathLike) -> tuple[str, PoseSampleSet]:
-    """Parse a sample dump back into (query_id, PoseSampleSet)."""
+    """Parse a sample dump back into (query_id, PoseSampleSet).
+
+    Malformed headers, rows with non-finite values or non-unit
+    quaternions, and missing or repeated indices raise ParseError.
+    """
     with open(path, "r", encoding="utf-8") as f:
         lines = f.readlines()
     if not lines:
@@ -196,6 +184,8 @@ def read_sample_dump(path: str | os.PathLike) -> tuple[str, PoseSampleSet]:
         master_seed = int(meta["master_seed"])
     except (KeyError, ValueError) as e:
         raise ParseError(f"bad sample dump header: {e}", line=1) from e
+    if not 1 <= count < len(lines):  # a row per sample follows the header
+        raise ParseError(f"num_samples={count} does not fit a file of {len(lines)} lines", line=1)
 
     positions = np.empty((count, 3))
     quaternions = np.empty((count, 4))
@@ -210,6 +200,8 @@ def read_sample_dump(path: str | os.PathLike) -> tuple[str, PoseSampleSet]:
         try:
             idx = int(parts[0])
             values = [float(v) for v in parts[1:]]
+            Vec3.from_array(values[:3])  # raises on non-finite positions
+            UnitQuaternion.from_array(values[3:])  # and on non-unit quaternions
         except ValueError as e:
             raise ParseError(str(e), line=lineno) from e
         if not (0 <= idx < count):

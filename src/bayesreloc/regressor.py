@@ -6,12 +6,12 @@ dropped with probability p, and surviving activations are scaled by
 1 / (1 - p), so the maskless forward pass needs no weight rescaling.
 Masks are pure functions of (master_seed, sample_index); training and
 Monte Carlo sampling are therefore exactly reproducible.
-Masks are arrays inside the module (``draw_masks``, one row per pass);
-``DropoutMask`` cuts a row into vectors at the API edge.  ``draw_mask``
-is the reference derivation of one pass and serves Monte Carlo sampling,
-which draws one pass at a time; ``draw_masks`` hashes a training
-batch's seeds together and gives the same rows.  One layer loop
-serves every pass, and ``train`` stacks the dataset into arrays once.
+A mask is one float row per pass: the keep/drop vectors of the dropout
+layers end to end, in layer order.  ``draw_mask`` is the reference
+derivation of one row and serves Monte Carlo sampling, which draws one
+pass at a time; ``draw_masks`` hashes a training batch's seeds together
+and gives the same rows as one block.  One layer loop serves every pass,
+and ``train`` stacks the dataset into arrays once.
 """
 
 from __future__ import annotations
@@ -83,17 +83,6 @@ class NetworkParams:
     def copy(self) -> "NetworkParams":
         layers = [Layer(l.spec, l.weights.copy(), l.bias.copy()) for l in self.layers]
         return NetworkParams(layers, self.dropout_p, self.seed)
-
-
-@dataclass(frozen=True)
-class DropoutMask:
-    """Keep/drop indicators for one stochastic pass.
-
-    One vector per dropout-enabled layer (in layer order), each as
-    long as that layer's input; 0 drops the unit, 1 keeps it.
-    """
-
-    layer_masks: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -199,8 +188,9 @@ def draw_masks(net: NetworkParams, master_seed: int, start: int, count: int) -> 
     return (block >= net.dropout_p).astype(float)
 
 
-def draw_mask(net: NetworkParams, master_seed: int, sample_index: int) -> DropoutMask:
-    """Draw the keep/drop pattern for one stochastic pass.
+def draw_mask(net: NetworkParams, master_seed: int, sample_index: int) -> np.ndarray:
+    """Draw the keep/drop row of one stochastic pass, laid out as a
+    :func:`draw_masks` row.
 
     A pure function of (master_seed, sample_index): the same pair always
     yields the same mask regardless of how calls are ordered or batched.
@@ -209,7 +199,7 @@ def draw_mask(net: NetworkParams, master_seed: int, sample_index: int) -> Dropou
     block hash of :func:`draw_masks` costs several single draws up front.
     """
     row = derive_rng(master_seed, sample_index).random(sum(_mask_widths(net)))
-    return DropoutMask(tuple(_split_masks(net, (row >= net.dropout_p).astype(float))))
+    return (row >= net.dropout_p).astype(float)
 
 
 def _check_input(net: NetworkParams, x) -> np.ndarray:
@@ -219,13 +209,13 @@ def _check_input(net: NetworkParams, x) -> np.ndarray:
     return arr
 
 
-def _mask_vectors(net: NetworkParams, mask: DropoutMask) -> tuple[np.ndarray, ...]:
-    """A mask's vectors in draw_masks order, checked against the network."""
-    vectors = tuple(mask.layer_masks)
-    shapes = [getattr(v, "shape", None) for v in vectors]
-    if shapes != [(w,) for w in _mask_widths(net)]:
-        raise ShapeMismatch(f"mask vector shapes {shapes} do not fit dropout inputs {_mask_widths(net)}")
-    return vectors
+def _check_masks(net: NetworkParams, masks, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """A mask row (or block of ``lead`` rows) as an array, checked against the network."""
+    arr = np.asarray(masks, dtype=float)
+    want = (*lead, sum(_mask_widths(net)))
+    if arr.shape != want:
+        raise ShapeMismatch(f"mask shape {arr.shape} does not fit dropout inputs {want}")
+    return arr
 
 
 def _propagate(net: NetworkParams, a: np.ndarray, layers: Sequence[Layer], masks, trace=None) -> np.ndarray:
@@ -248,10 +238,14 @@ def _propagate(net: NetworkParams, a: np.ndarray, layers: Sequence[Layer], masks
     return a
 
 
-def forward(net: NetworkParams, x, mask: DropoutMask | None = None) -> np.ndarray:
-    """One forward pass; a maskless pass is the deterministic baseline."""
+def forward(net: NetworkParams, x, mask: np.ndarray | None = None) -> np.ndarray:
+    """One forward pass; a maskless pass is the deterministic baseline.
+
+    ``mask`` is None or one row laid out as :func:`draw_mask` returns it.
+    """
     a = _check_input(net, x)
-    return _propagate(net, a, net.layers, None if mask is None else _mask_vectors(net, mask))
+    masks = None if mask is None else _split_masks(net, _check_masks(net, mask))
+    return _propagate(net, a, net.layers, masks)
 
 
 def feature_embedding(net: NetworkParams, x) -> np.ndarray:
@@ -330,24 +324,19 @@ def _stack_examples(net: NetworkParams, examples: Sequence[TrainExample]):
 def loss_gradient(
     net: NetworkParams,
     batch: Sequence[TrainExample],
-    mask_per_example: Sequence[DropoutMask] | None,
+    masks: np.ndarray | None,
     config: LossConfig,
 ) -> NetworkGradients:
     """Exact analytic gradient of the mean pose loss over a batch.
 
-    Dropout masks enter as constants.
+    ``masks`` is None or a ``(len(batch), width)`` block laid out as
+    :func:`draw_masks` returns it; dropout masks enter as constants.
     """
     if len(batch) == 0:
         raise ValueError("batch must not be empty")
-    if mask_per_example is not None and len(mask_per_example) != len(batch):
-        raise ShapeMismatch(
-            f"{len(mask_per_example)} masks for {len(batch)} examples"
-        )
     x, pos, quat = _stack_examples(net, batch)
-    masks = None
-    if mask_per_example is not None:
-        rows = [np.concatenate([np.zeros(0), *_mask_vectors(net, m)]) for m in mask_per_example]
-        masks = np.stack(rows)
+    if masks is not None:
+        masks = _check_masks(net, masks, (len(batch),))
     return _gradient(net, x, pos, quat, masks, config.beta)
 
 

@@ -243,6 +243,22 @@ class TestUsageErrors:
         assert "usage error" in err and "--samples" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["gen", "train", "sweep", "hist"])
+    def test_samples_only_on_sampling_commands(self, pipeline, tmp_path, capsys, command):
+        # a flag the command would ignore is a usage error, not a no-op
+        net, data = str(pipeline["net"]), str(pipeline["data"])
+        out = str(tmp_path / "out")
+        args = {
+            "gen": ["--scene-id", "g", "--train", "4", "--calib", "2", "--test", "2", "--out", out],
+            "train": ["--data", data, "--hidden", "4", "--epochs", "1", "--out", out],
+            "sweep": ["--net", net, "--data", data, "--counts", "1", "--reps", "1", "--out", out],
+            "hist": ["--table", str(tmp_path / "missing.tsv"), "--out", out],
+        }[command]
+        assert cli([command, *args, "--samples", "8"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--samples" in err
+        assert not list(tmp_path.iterdir())
+
     def test_sweep_needs_a_repetition(self, pipeline, tmp_path, capsys):
         code = cli([
             "sweep", "--net", str(pipeline["net"]), "--data", str(pipeline["data"]),

@@ -47,6 +47,11 @@ def _random_unit_quaternion(rng):
     return UnitQuaternion.from_array(v / np.linalg.norm(v))
 
 
+def _rows(quaternions):
+    """UnitQuaternions as the (N, 4) array quaternion_mean takes."""
+    return np.stack([q.as_array() for q in quaternions])
+
+
 def _chordal_cost(candidate, samples):
     """Sum of sign-resolved squared chordal distances to each sample."""
     c = candidate.as_array()
@@ -268,20 +273,20 @@ class TestQuaternionMean:
         rng = np.random.default_rng(8)
         for _ in range(20):
             q = _random_unit_quaternion(rng)
-            m = quaternion_mean([q, q, q])
+            m = quaternion_mean(_rows([q, q, q]))
             np.testing.assert_allclose(m.as_array(), q.as_array(), atol=1e-15)
 
     def test_sign_pair_collapses(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             q = _random_unit_quaternion(rng)
-            m = quaternion_mean([q, q.negated()])
+            m = quaternion_mean(_rows([q, q.negated()]))
             np.testing.assert_allclose(m.as_array(), q.as_array(), atol=1e-15)
 
     def test_two_rotation_blend(self):
         # mean of the identity and a 90 degree z-rotation is the 45 degree
         # z-rotation; value cross-checked by the grid-search oracle below
-        m = quaternion_mean([_zrot(0.0), _zrot(90.0)])
+        m = quaternion_mean(_rows([_zrot(0.0), _zrot(90.0)]))
         np.testing.assert_allclose(
             m.as_array(),
             [0.9238795325112867, 0.0, 0.0, 0.3826834323650898],
@@ -298,7 +303,7 @@ class TestQuaternionMean:
         for _ in range(50):
             qs = [_random_unit_quaternion(rng) for _ in range(rng.integers(1, 8))]
             try:
-                m = quaternion_mean(qs)
+                m = quaternion_mean(_rows(qs))
             except DegenerateMean:
                 continue
             assert abs(np.linalg.norm(m.as_array()) - 1.0) <= 1e-12
@@ -313,11 +318,11 @@ class TestQuaternionMean:
             for _ in range(6):
                 tweak = rng.normal(scale=0.05, size=4)
                 qs.append(normalize(base.as_array() + tweak))
-            m0 = quaternion_mean(qs).as_array()
+            m0 = quaternion_mean(_rows(qs)).as_array()
             flip_at = int(rng.integers(0, len(qs)))
             flipped = list(qs)
             flipped[flip_at] = flipped[flip_at].negated()
-            m1 = quaternion_mean(flipped).as_array()
+            m1 = quaternion_mean(_rows(flipped)).as_array()
             err = min(np.abs(m0 - m1).max(), np.abs(m0 + m1).max())
             assert err <= 1e-12
 
@@ -334,7 +339,7 @@ class TestQuaternionMean:
                 half = math.radians(rng.uniform(0.0, 10.0)) / 2.0
                 perturb = np.array([math.cos(half), *(math.sin(half) * axis)])
                 samples.append(UnitQuaternion.from_array(_qmul(perturb, base.as_array())))
-            mean = quaternion_mean(samples)
+            mean = quaternion_mean(_rows(samples))
             # local 3-axis grid of rotation offsets around the reported mean
             steps = np.radians(np.arange(-1.0, 1.0001, 0.125))
             best_cost = _chordal_cost(mean, samples)
@@ -358,6 +363,13 @@ class TestQuaternionMean:
     def test_empty_set(self):
         with pytest.raises(ValueError):
             quaternion_mean([])
+        with pytest.raises(ValueError):
+            quaternion_mean(np.zeros((0, 4)))
+
+    def test_rows_must_be_quaternions(self):
+        for bad in (np.ones(4), np.ones((3, 3)), np.ones((2, 4, 1))):
+            with pytest.raises(ValueError):
+                quaternion_mean(bad)
 
     def test_wide_scatter_never_degenerates(self):
         # after aligning to the first sample every term has a nonnegative
@@ -366,5 +378,5 @@ class TestQuaternionMean:
         rng = np.random.default_rng(14)
         for _ in range(100):
             qs = [_random_unit_quaternion(rng) for _ in range(int(rng.integers(2, 12)))]
-            m = quaternion_mean(qs)
+            m = quaternion_mean(_rows(qs))
             assert abs(np.linalg.norm(m.as_array()) - 1.0) <= 1e-12

@@ -1,14 +1,27 @@
-"""Tests for Monte Carlo dropout sampling and scatter statistics."""
+"""Tests for Monte Carlo dropout sampling and scatter statistics.
+
+The array code is checked bit for bit against the per-sample code it
+replaced (one ``normalize`` and one ``UnitQuaternion`` per pass), kept
+here as the reference.
+"""
+
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_regressor import _fast_path_nets
 
 from bayesreloc.errors import DegenerateQuaternion, ParseError
 from bayesreloc.geometry import UnitQuaternion, Vec3, normalize
 from bayesreloc.mc_posterior import (
     DEFAULT_NUM_SAMPLES,
+    IDENTICAL_TOL,
     MAX_NUM_SAMPLES,
     PoseSampleSet,
+    UncertaintyEstimate,
+    _unit_rows,
     estimate,
     estimate_determinant,
     localize,
@@ -19,6 +32,7 @@ from bayesreloc.mc_posterior import (
 from bayesreloc.regressor import LayerSpec, build_network, draw_mask, forward
 
 IDENTITY_ROW = np.array([1.0, 0.0, 0.0, 0.0])
+SETTINGS = settings(max_examples=150, deadline=None)
 
 
 def _net(p=0.5, seed=7, dropout=True):
@@ -47,6 +61,156 @@ def _cloud(rng, n, base_sigma=0.3, angle_deg=20.0):
         if quaternions[i] @ quaternions[0] < 0.0:
             quaternions[i] = -quaternions[i]
     return PoseSampleSet(positions, quaternions, n, master_seed=0)
+
+
+def _reference_sample_posterior(net, x, num_samples, master_seed):
+    """One normalize and one hemisphere check per pass."""
+    positions = np.empty((num_samples, 3))
+    quaternions = np.empty((num_samples, 4))
+    for i in range(num_samples):
+        out = forward(net, x, draw_mask(net, master_seed, i))
+        positions[i] = out[:3]
+        row = normalize(out[3:]).as_array()
+        if i > 0 and float(row @ quaternions[0]) < 0.0:
+            row = -row
+        quaternions[i] = row
+    return PoseSampleSet(positions, quaternions, num_samples, master_seed)
+
+
+def _reference_quaternion_mean(samples):
+    """Sequential sum of UnitQuaternions flipped toward the first one."""
+    ref = samples[0]
+    acc = np.zeros(4)
+    for q in samples:
+        v = q.as_array()
+        if q.dot(ref) < 0.0:
+            v = -v
+        acc += v
+    acc /= len(samples)
+    return UnitQuaternion.from_array(acc / float(np.linalg.norm(acc)))
+
+
+def _reference_canonical_sign(q):
+    for c in (q.w, q.x, q.y, q.z):
+        if c > 0.0:
+            return q
+        if c < 0.0:
+            return q.negated()
+    return q
+
+
+def _reference_estimate(samples):
+    """The estimate built from one UnitQuaternion per sample."""
+    n = samples.sample_count
+    positions = samples.positions
+    quats = np.array(samples.quaternions, dtype=float)
+    flip = quats @ quats[0] < 0.0
+    quats[flip] = -quats[flip]
+    pos_identical = bool(np.max(np.abs(positions - positions[0])) <= IDENTICAL_TOL)
+    rot_identical = bool(np.max(np.abs(quats - quats[0])) <= IDENTICAL_TOL)
+    trans_mean = Vec3.from_array(positions[0] if pos_identical else positions.mean(axis=0))
+    if rot_identical:
+        rot_mean = _reference_canonical_sign(normalize(quats[0]))
+    else:
+        rot_mean = _reference_canonical_sign(
+            _reference_quaternion_mean([UnitQuaternion.from_array(row) for row in quats])
+        )
+    if n < 2:
+        return UncertaintyEstimate(0.0, 0.0, trans_mean, rot_mean, degenerate=True)
+    trans_trace = 0.0 if pos_identical else float(positions.var(axis=0, ddof=1).sum())
+    rot_trace = 0.0 if rot_identical else float(quats.var(axis=0, ddof=1).sum())
+    degenerate = trans_trace == 0.0 and rot_trace == 0.0
+    return UncertaintyEstimate(trans_trace, rot_trace, trans_mean, rot_mean, degenerate=degenerate)
+
+
+def _bits(est):
+    """Every float of an estimate as hex text, so -0.0 and 0.0 differ."""
+    floats = (
+        est.trans_trace,
+        est.rot_trace,
+        *est.trans_mean.as_array(),
+        *est.rot_mean.as_array(),
+    )
+    return tuple(float(v).hex() for v in floats), est.degenerate
+
+
+@st.composite
+def sample_sets(draw):
+    """Clouds of 1 to 128 samples: scattered, with identical positions or
+    rotations or both, at several spreads, with or without sign flips."""
+    n = draw(st.integers(1, MAX_NUM_SAMPLES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([1e-9, 1e-3, 0.1, 1.0, 10.0]))
+    positions = rng.normal(size=3) + spread * rng.normal(size=(n, 3))
+    raw = rng.normal(size=4) + spread * rng.normal(size=(n, 4))
+    quaternions = raw / np.linalg.norm(raw, axis=1)[:, None]
+    if draw(st.booleans()):
+        positions[:] = positions[0]
+    if draw(st.booleans()):
+        quaternions[:] = quaternions[0]
+    if draw(st.booleans()):
+        flip = rng.random(n) < 0.5
+        quaternions[flip] = -quaternions[flip]
+    return PoseSampleSet(positions, quaternions, n, 0)
+
+
+class TestArrayPathMatchesReference:
+    @SETTINGS
+    @given(samples=sample_sets())
+    def test_estimate_bit_identical(self, samples):
+        assert _bits(estimate(samples)) == _bits(_reference_estimate(samples))
+
+    @SETTINGS
+    @given(samples=sample_sets(), seed=st.integers(0, 2**32 - 1))
+    def test_estimate_invariant_to_sign_flips(self, samples, seed):
+        flip = np.random.default_rng(seed).random(samples.sample_count) < 0.5
+        quats = samples.quaternions.copy()
+        quats[flip] = -quats[flip]
+        flipped = PoseSampleSet(samples.positions, quats, samples.sample_count, 0)
+        assert _bits(estimate(flipped)) == _bits(estimate(samples))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_fast_path_nets())),
+        w_bias=st.sampled_from([0.0, 1.0]),
+        x_seed=st.integers(0, 2**32 - 1),
+        num_samples=st.integers(1, MAX_NUM_SAMPLES),
+        master_seed=st.integers(0, 2**63),
+    )
+    def test_sample_posterior_matches_per_pass_loop(self, name, w_bias, x_seed, num_samples, master_seed):
+        # Zero biases let a mask zero the raw quaternion, which both paths
+        # must reject alike; a w bias of 1 keeps every pass usable.
+        net = _fast_path_nets()[name]
+        net.layers[-1].bias[3] = w_bias
+        x = np.random.default_rng(x_seed).normal(size=net.input_width)
+        try:
+            want = _reference_sample_posterior(net, x, num_samples, master_seed)
+        except DegenerateQuaternion as e:
+            with pytest.raises(DegenerateQuaternion, match=re.escape(str(e))):
+                sample_posterior(net, x, num_samples, master_seed)
+            return
+        got = sample_posterior(net, x, num_samples, master_seed)
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert got.quaternions.tobytes() == want.quaternions.tobytes()
+        assert (got.sample_count, got.master_seed) == (num_samples, master_seed)
+
+    @SETTINGS
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.one_of(st.floats(allow_nan=True), st.sampled_from([0.0, -0.0, 1e-13]))] * 4),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_unit_rows_match_normalize(self, rows):
+        raw = np.array(rows, dtype=float)
+        try:
+            want = np.stack([normalize(row).as_array() for row in raw])
+        except DegenerateQuaternion as e:
+            with pytest.raises(DegenerateQuaternion, match=re.escape(str(e))):
+                _unit_rows(raw)
+            return
+        assert _unit_rows(raw).tobytes() == want.tobytes()
 
 
 class TestSamplePosterior:
@@ -414,6 +578,39 @@ class TestSampleDump:
             read_sample_dump(path)
         assert exc.value.line == row_one + 1
         assert "twice" in str(exc.value)
+
+    def _dump_with_row(self, tmp_path, row):
+        net = _net()
+        s = sample_posterior(net, np.array([0.6, -0.3, 0.9, 0.2]), 3, master_seed=1)
+        path = tmp_path / "dump.txt"
+        write_sample_dump(path, s, "q")
+        lines = path.read_text().splitlines()
+        lines[3] = row
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_non_finite_position_reports_line(self, tmp_path):
+        path = self._dump_with_row(tmp_path, "1 nan 0.0 0.0 1.0 0.0 0.0 0.0")
+        with pytest.raises(ParseError) as exc:
+            read_sample_dump(path)
+        assert exc.value.line == 4
+
+    def test_non_unit_quaternion_reports_line(self, tmp_path):
+        path = self._dump_with_row(tmp_path, "1 0.0 0.0 0.0 3 0 0 0")
+        with pytest.raises(ParseError) as exc:
+            read_sample_dump(path)
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("count", [-1, 0, 10**6])
+    def test_sample_count_must_fit_the_file(self, tmp_path, count):
+        # a header promising more rows than the file has is refused before
+        # anything is allocated for them
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# bayesreloc-samples-v1 query_id=q num_samples={count} master_seed=0\n"
+                        "0 0.0 0.0 0.0 1.0 0.0 0.0 0.0\n")
+        with pytest.raises(ParseError) as exc:
+            read_sample_dump(path)
+        assert exc.value.line == 1
 
     def test_query_id_rejects_whitespace(self, tmp_path):
         net = _net()

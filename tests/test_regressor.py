@@ -17,7 +17,6 @@ from bayesreloc.errors import (
 from bayesreloc.geometry import LossConfig, Pose, UnitQuaternion, Vec3, normalize, pose_loss
 from bayesreloc.regressor import (
     POSE_WIDTH,
-    DropoutMask,
     LayerSpec,
     NetworkParams,
     TrainConfig,
@@ -112,16 +111,12 @@ def _fast_path_nets():
     }
 
 
-def _mask_row(mask):
-    """A DropoutMask's vectors end to end, in draw_masks layout."""
-    return np.concatenate([np.zeros(0), *mask.layer_masks])
-
-
 def _reference_train(net, dataset, config):
     """The per-example training loop train() must reproduce bit for bit.
 
-    One draw_mask per example and one loss_gradient per batch of Pose
-    objects, then SGD with momentum on every parameter array.
+    One draw_mask row per example stacked into each batch's mask block,
+    one loss_gradient per batch of Pose objects, then SGD with momentum
+    on every parameter array.
     """
     params = net.copy()
     arrays = [(layer.weights, layer.bias) for layer in params.layers]
@@ -133,7 +128,7 @@ def _reference_train(net, dataset, config):
         loss_sum = 0.0
         for start in range(0, len(dataset), config.batch_size):
             batch = [dataset[i] for i in order[start : start + config.batch_size]]
-            masks = [draw_mask(params, config.seed, counter + j) for j in range(len(batch))]
+            masks = np.stack([draw_mask(params, config.seed, counter + j) for j in range(len(batch))])
             counter += len(batch)
             grads = loss_gradient(params, batch, masks, config.loss)
             loss_sum += grads.mean_loss * len(batch)
@@ -234,20 +229,15 @@ class TestDrawMask:
         a = draw_mask(net, 99, 3)
         b = draw_mask(net, 99, 7)
         a_again = draw_mask(net, 99, 3)
-        for m1, m2 in zip(a.layer_masks, a_again.layer_masks):
-            np.testing.assert_array_equal(m1, m2)
-        assert any(
-            not np.array_equal(m1, m2) for m1, m2 in zip(a.layer_masks, b.layer_masks)
-        )
+        np.testing.assert_array_equal(a, a_again)
+        assert not np.array_equal(a, b)
 
     def test_binary_entries_and_shapes(self):
         net = self._net()
+        # one row: the two dropout layers' 64 inputs each, end to end
         mask = draw_mask(net, 5, 0)
-        assert len(mask.layer_masks) == 2
-        assert mask.layer_masks[0].shape == (64,)
-        assert mask.layer_masks[1].shape == (64,)
-        for vec in mask.layer_masks:
-            assert set(np.unique(vec)).issubset({0.0, 1.0})
+        assert mask.shape == (64 + 64,)
+        assert set(np.unique(mask)).issubset({0.0, 1.0})
 
     def test_drop_rate_matches_p(self):
         # keep fraction over many draws approximates 1 - p within 3 SE
@@ -257,7 +247,7 @@ class TestDrawMask:
         kept = 0
         for i in range(draws):
             mask = draw_mask(net, 42, i)
-            kept += int(mask.layer_masks[0].sum() + mask.layer_masks[1].sum())
+            kept += int(mask.sum())
         se = math.sqrt(0.5 * 0.5 / units)
         assert abs(kept / units - 0.5) <= 3.0 * se
 
@@ -269,14 +259,15 @@ class TestDrawMask:
         )
         for i in range(20):
             mask = draw_mask(net, 7, i)
-            assert np.all(mask.layer_masks[0] == 1.0)
+            assert mask.shape == (16,)
+            assert np.all(mask == 1.0)
 
     def test_no_dropout_layers(self):
         net = build_network(
             [LayerSpec(8, 16), LayerSpec(16, 7, activation="identity")], 0.5, seed=1
         )
         mask = draw_mask(net, 1, 0)
-        assert mask.layer_masks == ()
+        assert mask.shape == (0,)
 
 
 class TestDrawMasks:
@@ -284,10 +275,9 @@ class TestDrawMasks:
     def test_rows_match_draw_mask(self, name):
         net = _fast_path_nets()[name]
         block = draw_masks(net, 31, 5, 9)
-        width = sum(v.size for v in draw_mask(net, 31, 0).layer_masks)
-        assert block.shape == (9, width)
+        assert block.shape == (9, draw_mask(net, 31, 0).size)
         for j, row in enumerate(block):
-            np.testing.assert_array_equal(row, _mask_row(draw_mask(net, 31, 5 + j)))
+            np.testing.assert_array_equal(row, draw_mask(net, 31, 5 + j))
 
     def test_rows_do_not_depend_on_block(self):
         net = _fast_path_nets()["aux_dropout"]
@@ -310,7 +300,7 @@ class TestForward:
         )
         rng = np.random.default_rng(0)
         x = rng.normal(size=5)
-        mask = DropoutMask((np.ones(12),))
+        mask = np.ones(12)
         np.testing.assert_array_equal(forward(net, x, mask), forward(net, x))
 
     def test_hand_computed_fixture(self):
@@ -342,7 +332,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         x = rng.normal(size=7)
         mask = draw_mask(net, 11, 0)
-        manual = net.layers[0].weights @ (x * mask.layer_masks[0] * 2.0) + net.layers[0].bias
+        manual = net.layers[0].weights @ (x * mask * 2.0) + net.layers[0].bias
         np.testing.assert_allclose(forward(net, x, mask), manual, atol=1e-15)
 
     def test_input_shape_mismatch(self):
@@ -357,9 +347,11 @@ class TestForward:
             seed=1,
         )
         with pytest.raises(ShapeMismatch):
-            forward(net, np.zeros(5), DropoutMask((np.ones(11),)))
+            forward(net, np.zeros(5), np.ones(11))
         with pytest.raises(ShapeMismatch):
-            forward(net, np.zeros(5), DropoutMask((np.ones(12), np.ones(12))))
+            forward(net, np.zeros(5), np.ones(24))
+        with pytest.raises(ShapeMismatch):
+            forward(net, np.zeros(5), np.ones((1, 12)))
 
     def test_homogeneity_through_linear_layers(self):
         # with zero biases and identity activations, a fixed mask commutes
@@ -464,7 +456,7 @@ class TestLossGradient:
         ]
         net = build_network(specs, 0.5, seed=200)
         batch = _random_batch(rng, 4, 3)
-        masks = [draw_mask(net, 55, i) for i in range(3)]
+        masks = np.stack([draw_mask(net, 55, i) for i in range(3)])
         _fd_check(net, batch, masks, LossConfig(1.5))
 
     def test_beta_linearity(self):
@@ -521,7 +513,9 @@ class TestLossGradient:
         rng = np.random.default_rng(22)
         batch = _random_batch(rng, 3, 2)
         with pytest.raises(ShapeMismatch):
-            loss_gradient(net, batch, [draw_mask(net, 1, 0)], LossConfig(1.0))
+            loss_gradient(net, batch, draw_mask(net, 1, 0)[None], LossConfig(1.0))
+        with pytest.raises(ShapeMismatch):
+            loss_gradient(net, batch, np.ones((2, 7)), LossConfig(1.0))
 
 
 class TestTrain:

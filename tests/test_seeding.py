@@ -133,8 +133,7 @@ class TestDrawMasksBlocks:
         np.testing.assert_array_equal(block, draw_masks(net, seed, start, count))
         assert block.shape == (count, 9 + 6)
         for j, row in enumerate(block):
-            want = np.concatenate(draw_mask(net, seed, start + j).layer_masks)
-            np.testing.assert_array_equal(row, want)
+            np.testing.assert_array_equal(row, draw_mask(net, seed, start + j))
 
 
 def _reference_scene(spec, counts):
