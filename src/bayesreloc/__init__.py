@@ -73,9 +73,7 @@ from .mc_posterior import (
     estimate,
     estimate_determinant,
     localize,
-    read_sample_dump,
     sample_posterior,
-    write_sample_dump,
 )
 from .regressor import (
     Layer,

@@ -8,11 +8,11 @@ non-convergent fits).  Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 
 from .calibration import calibrate, load_calibration, save_calibration
-from .detector import CHANNELS, SceneModel, confusion, format_confusion
+from .detector import SceneModel, confusion, format_confusion
 from .errors import (
     DegenerateMean,
     DegenerateQuaternion,
@@ -47,7 +47,7 @@ from .regressor import (
     save_checkpoint,
     train,
 )
-from .scenes import SceneSpec, generate_scene, load_dataset, load_scene_spec, save_dataset
+from .scenes import MIN_CALIB_EXAMPLES, SceneSpec, generate_scene, load_dataset, load_scene_spec, save_dataset
 from .seeding import derive_seed
 
 EXIT_OK = 0
@@ -113,6 +113,14 @@ def _bounded_int(lo: int, hi: int | None = None):
     return parse
 
 
+def _fraction(text: str) -> float:
+    """An argparse type: a number in [0, 1)."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
@@ -131,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", parents=[common], help="generate a synthetic scene dataset")
     p.add_argument("--scene-id", help="scene identifier (defaults from --spec)")
     p.add_argument("--spec", help="scene spec JSON to regenerate from")
-    p.add_argument("--train", type=int, default=2000)
-    p.add_argument("--calib", type=int, default=200)
-    p.add_argument("--test", type=int, default=400)
+    p.add_argument("--train", type=_bounded_int(1), default=2000)
+    p.add_argument("--calib", type=_bounded_int(MIN_CALIB_EXAMPLES), default=200)
+    p.add_argument("--test", type=_bounded_int(1), default=400)
     p.add_argument("--aliasing-period", type=float, default=None)
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=_cmd_gen)
@@ -141,10 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[common], help="train a pose regressor")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--hidden", default="128,128", help="hidden widths, comma-separated")
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=600)
+    p.add_argument("--dropout", type=_fraction, default=0.5)
+    p.add_argument("--epochs", type=_bounded_int(1), default=600)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--batch", type=_bounded_int(1), default=32)
     p.add_argument("--beta", type=float, default=50.0)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--out", required=True, help="checkpoint file")
@@ -153,11 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", parents=[sampled], help="fit per-scene gamma calibration")
     p.add_argument("--net", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument(
-        "--use-test-split",
-        action="store_true",
-        help="fit on the test split instead of the held-out calibration split",
-    )
     p.add_argument("--out", required=True, help="calibration file")
     p.set_defaults(func=_cmd_calibrate)
 
@@ -191,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="one candidate scene (repeat for each)",
     )
-    p.add_argument("--channel", choices=CHANNELS, default="combined")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_detect)
 
@@ -213,11 +215,14 @@ def _cmd_gen(args) -> int:
     else:
         if not args.scene_id:
             raise _UsageError("gen needs --scene-id (or --spec)")
-        spec = SceneSpec(
-            scene_id=args.scene_id,
-            generator_seed=args.seed,
-            aliasing_period=args.aliasing_period,
-        )
+        try:
+            spec = SceneSpec(
+                scene_id=args.scene_id,
+                generator_seed=args.seed,
+                aliasing_period=args.aliasing_period,
+            )
+        except InvalidSpec as e:
+            raise _UsageError(f"--scene-id or --aliasing-period: {e}") from e
     dataset = generate_scene(spec, args.train, args.calib, args.test)
     save_dataset(args.out, dataset)
     print(
@@ -228,10 +233,21 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    dataset = load_dataset(args.data)
     hidden = _int_list(args.hidden, "--hidden")
-    if not hidden:
-        raise _UsageError("--hidden needs at least one width")
+    if not hidden or min(hidden) < 1:
+        raise _UsageError(f"--hidden needs one or more positive widths, got {args.hidden!r}")
+    try:
+        config = TrainConfig(
+            learning_rate=args.lr,
+            batch_size=args.batch,
+            epochs=args.epochs,
+            loss=LossConfig(beta=args.beta),
+            seed=args.seed,
+            momentum=args.momentum,
+        )
+    except ValueError as e:
+        raise _UsageError(f"--lr, --momentum or --beta: {e}") from e
+    dataset = load_dataset(args.data)
     widths = [dataset.spec.feature_dim] + hidden + [7]
     specs = []
     n_layers = len(widths) - 1
@@ -245,14 +261,6 @@ def _cmd_train(args) -> int:
             )
         )
     net = build_network(specs, args.dropout, args.seed)
-    config = TrainConfig(
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        loss=LossConfig(beta=args.beta),
-        seed=args.seed,
-        momentum=args.momentum,
-    )
     examples = [(ex.features, ex.pose) for ex in dataset.train]
     result = train(net, examples, config)
     save_checkpoint(args.out, result.net)
@@ -266,14 +274,13 @@ def _cmd_train(args) -> int:
 def _cmd_calibrate(args) -> int:
     net = load_checkpoint(args.net)
     dataset = load_dataset(args.data)
-    split = dataset.test if args.use_test_split else dataset.calib
     if dataset.spec.feature_dim != net.input_width:
         raise ShapeMismatch(
             f"dataset feature_dim {dataset.spec.feature_dim} does not match "
             f"network input width {net.input_width}"
         )
     traces, positions = [], []
-    for qi, ex in enumerate(split):
+    for qi, ex in enumerate(dataset.calib):
         _, est = localize(net, ex.features, args.samples, derive_seed(args.seed, qi))
         traces.append((est.trans_trace, est.rot_trace))
         positions.append(est.trans_mean)
@@ -327,6 +334,8 @@ def _cmd_hist(args) -> int:
     thresholds = _float_list(args.thresholds, "--thresholds")
     if not thresholds:
         raise _UsageError("--thresholds needs at least one threshold")
+    if any(math.isnan(t) for t in thresholds):
+        raise _UsageError("--thresholds must be numbers, got nan")
     if thresholds != sorted(thresholds):
         raise _UsageError("--thresholds must be sorted ascending")
     records = read_query_table(args.table)
@@ -347,7 +356,7 @@ def _cmd_detect(args) -> int:
                 f"dataset at {data_dir} is for scene {dataset.spec.scene_id!r}, not {scene_id!r}"
             )
         test_sets[scene_id] = [ex.features for ex in dataset.test]
-    matrix = confusion(models, test_sets, args.samples, args.seed, args.channel)
+    matrix = confusion(models, test_sets, args.samples, args.seed)
     text = format_confusion(matrix)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(text)

@@ -29,9 +29,6 @@ from .seeding import derive_seed
 
 CONFUSION_FORMAT = "bayesreloc-confusion-v1"
 
-# Scoring channels: the average percentile or either single channel.
-CHANNELS = ("combined", "trans", "rot")
-
 
 @dataclass(frozen=True)
 class SceneModel:
@@ -67,24 +64,14 @@ def _scene_tag(scene_id: str) -> int:
     return zlib.crc32(scene_id.encode("utf-8"))
 
 
-def _channel_value(score: ZScore, channel: str) -> float:
-    if channel == "combined":
-        return score.combined
-    if channel == "trans":
-        return score.trans_pct
-    if channel == "rot":
-        return score.rot_pct
-    raise ValueError(f"unknown channel {channel!r}, expected one of {CHANNELS}")
-
-
 def detect(
     models: Sequence[SceneModel],
     x,
     num_samples: int = DEFAULT_NUM_SAMPLES,
     master_seed: int = 0,
-    channel: str = "combined",
 ) -> DetectionResult:
-    """Score a query under every scene model and pick the least uncertain.
+    """Score a query under every scene model and pick the one with the
+    lowest combined percentile.
 
     Each model's Monte Carlo seed derives from (master_seed, scene_id), so
     reordering the model list permutes scores without changing them.
@@ -101,7 +88,7 @@ def detect(
         _, est = localize(model.network, x, num_samples, seed)
         scores.append((model.scene_id, detection_score(model.calibration, est)))
 
-    values = [_channel_value(s, channel) for _, s in scores]
+    values = [s.combined for _, s in scores]
     best = min(range(len(values)), key=lambda i: values[i])
     tie = any(i != best and values[i] == values[best] for i in range(len(values)))
     return DetectionResult(scene_id=ids[best], scores=scores, tie=tie)
@@ -133,7 +120,6 @@ def confusion(
     test_sets: Mapping[str, Sequence],
     num_samples: int = DEFAULT_NUM_SAMPLES,
     seed: int = 0,
-    channel: str = "combined",
 ) -> ConfusionMatrix:
     """Classify every query of every scene; rows index the true scene.
 
@@ -154,9 +140,7 @@ def confusion(
                 # to score against.
                 counts[0, 0] += 1
                 continue
-            result = detect(
-                models, x, num_samples, derive_seed(seed, _scene_tag(sid), qi), channel
-            )
+            result = detect(models, x, num_samples, derive_seed(seed, _scene_tag(sid), qi))
             counts[index[sid], index[result.scene_id]] += 1
     return ConfusionMatrix(ids, counts)
 

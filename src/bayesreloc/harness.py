@@ -29,7 +29,7 @@ from .seeding import derive_seed
 from .stats import median_low, pearson, spearman
 
 EVAL_TABLE_FORMAT = "bayesreloc-eval-v1"
-SUMMARY_FORMAT = "bayesreloc-report-v1"
+SUMMARY_FORMAT = "bayesreloc-report-v2"
 SWEEP_FORMAT = "bayesreloc-sweep-v1"
 HIST_FORMAT = "bayesreloc-hist-v1"
 
@@ -67,7 +67,6 @@ class EvalSummary:
     num_samples: int
     seed: int
     query_count: int
-    mean_wall_time_s: float
     median_convention: str = "lower"
 
 
@@ -132,10 +131,11 @@ def run_eval(
 ) -> EvalReport:
     """Localize and score every test query against its ground truth.
 
-    Per-query Monte Carlo seeds derive from (seed, query index).  The
-    summary holds lower medians and both Spearman and Pearson correlations
-    between uncertainty and error, between the two uncertainty channels,
-    and between the combined score and the distance to the nearest training
+    Per-query Monte Carlo seeds derive from (seed, query index), so the
+    report is a pure function of the arguments.  The summary holds lower
+    medians and both Spearman and Pearson correlations between
+    uncertainty and error, between the two uncertainty channels, and
+    between the combined score and the distance to the nearest training
     example in raw feature space (the same space the nearest-neighbour
     baseline searches).
     """
@@ -150,11 +150,8 @@ def run_eval(
 
     train_emb = np.stack([ex.features for ex in dataset.train])
     records = []
-    total_time = 0.0
     for qi, ex in enumerate(dataset.test):
-        t0 = time.perf_counter()
         pose, est = localize(net, ex.features, num_samples, derive_seed(seed, qi))
-        total_time += time.perf_counter() - t0
         score = z_score(model.calibration, est)
         _, nn_dist = nearest_neighbour_pose(dataset.train, ex.features, train_emb)
         records.append(
@@ -196,7 +193,6 @@ def run_eval(
         num_samples=num_samples,
         seed=seed,
         query_count=len(records),
-        mean_wall_time_s=total_time / len(records),
     )
     return EvalReport(records, summary)
 
@@ -281,6 +277,8 @@ def run_histogram(
     t = [float(v) for v in thresholds]
     if not t:
         raise ValueError("need at least one threshold")
+    if np.isnan(t).any():
+        raise ValueError(f"thresholds must be numbers, got {t}")
     if any(b < a for a, b in zip(t, t[1:])):
         raise ValueError(f"thresholds must be sorted ascending, got {t}")
     n = len(records)
@@ -405,7 +403,6 @@ def write_summary(path: str | os.PathLike, report: EvalReport) -> None:
         "num_samples": s.num_samples,
         "seed": s.seed,
         "query_count": s.query_count,
-        "mean_wall_time_s": s.mean_wall_time_s,
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)

@@ -10,19 +10,17 @@ the estimate handed back.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateQuaternion, ParseError
+from .errors import DegenerateQuaternion
 from .geometry import NORM_FLOOR, Pose, UnitQuaternion, Vec3, hemisphere_aligned, normalize, quaternion_mean
 from .regressor import POSE_WIDTH, NetworkParams, draw_mask, forward
 
 # Scatter statistics stop improving noticeably past this many passes.
 DEFAULT_NUM_SAMPLES = 40
 MAX_NUM_SAMPLES = 128
-SAMPLE_DUMP_FORMAT = "bayesreloc-samples-v1"
 # Componentwise spread at or below this is floating-point noise, not
 # scatter; the channel then reports exactly zero trace and the common row
 # as its mean (averaging bit-identical rows would drift by an ulp).
@@ -31,15 +29,14 @@ IDENTICAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PoseSampleSet:
-    """Stochastic pose hypotheses for one query.
+    """Stochastic pose hypotheses for one query, one row per sample.
 
-    ``quaternions`` rows are unit norm and hemisphere-aligned to row 0.
+    ``positions`` is (N, 3); ``quaternions`` is (N, 4), its rows unit norm
+    and hemisphere-aligned to row 0.
     """
 
     positions: np.ndarray
     quaternions: np.ndarray
-    sample_count: int
-    master_seed: int
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,7 @@ def sample_posterior(
     for i in range(num_samples):
         outs[i] = forward(net, x, draw_mask(net, master_seed, i))
     quaternions = hemisphere_aligned(_unit_rows(outs[:, 3:]))
-    return PoseSampleSet(np.ascontiguousarray(outs[:, :3]), quaternions, num_samples, master_seed)
+    return PoseSampleSet(np.ascontiguousarray(outs[:, :3]), quaternions)
 
 
 def _canonical_sign(row: np.ndarray) -> UnitQuaternion:
@@ -103,7 +100,6 @@ def estimate(samples: PoseSampleSet) -> UncertaintyEstimate:
     mean orientation is sign-canonicalized, so flipping signs of any input
     samples never changes the estimate.
     """
-    n = samples.sample_count
     positions = samples.positions
     quats = hemisphere_aligned(samples.quaternions)
     pos_identical = bool(np.max(np.abs(positions - positions[0])) <= IDENTICAL_TOL)
@@ -113,7 +109,7 @@ def estimate(samples: PoseSampleSet) -> UncertaintyEstimate:
     rot_row = (normalize(quats[0]) if rot_identical else quaternion_mean(quats)).as_array()
     rot_mean = _canonical_sign(rot_row)
 
-    if n < 2:
+    if len(positions) < 2:
         return UncertaintyEstimate(0.0, 0.0, trans_mean, rot_mean, degenerate=True)
     trans_trace = 0.0 if pos_identical else float(positions.var(axis=0, ddof=1).sum())
     rot_trace = 0.0 if rot_identical else float(quats.var(axis=0, ddof=1).sum())
@@ -128,7 +124,7 @@ def estimate_determinant(samples: PoseSampleSet) -> tuple[float, float]:
     axis keeps a large trace but its determinant collapses toward zero, so
     determinants understate elongated scatter.
     """
-    if samples.sample_count < 2:
+    if len(samples.positions) < 2:
         raise ValueError("need at least 2 samples for covariance determinants")
     trans_cov = np.cov(samples.positions, rowvar=False, ddof=1)
     rot_cov = np.cov(hemisphere_aligned(samples.quaternions), rowvar=False, ddof=1)
@@ -145,72 +141,3 @@ def localize(
     samples = sample_posterior(net, x, num_samples, master_seed)
     est = estimate(samples)
     return Pose(est.trans_mean, est.rot_mean), est
-
-
-def write_sample_dump(path: str | os.PathLike, samples: PoseSampleSet, query_id: str) -> None:
-    """Write one query's samples as delimited text for external analysis."""
-    if any(ch.isspace() for ch in query_id):
-        raise ValueError(f"query_id must not contain whitespace, got {query_id!r}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(
-            f"# {SAMPLE_DUMP_FORMAT} query_id={query_id} "
-            f"num_samples={samples.sample_count} master_seed={samples.master_seed}\n"
-        )
-        f.write("# sample_index px py pz qw qx qy qz\n")
-        for i in range(samples.sample_count):
-            p = samples.positions[i]
-            q = samples.quaternions[i]
-            fields = [str(i)] + [repr(float(v)) for v in (*p, *q)]
-            f.write(" ".join(fields) + "\n")
-
-
-def read_sample_dump(path: str | os.PathLike) -> tuple[str, PoseSampleSet]:
-    """Parse a sample dump back into (query_id, PoseSampleSet).
-
-    Malformed headers, rows with non-finite values or non-unit
-    quaternions, and missing or repeated indices raise ParseError.
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.readlines()
-    if not lines:
-        raise ParseError("empty sample dump", line=1)
-    head = lines[0].strip().lstrip("# ").split()
-    if not head or head[0] != SAMPLE_DUMP_FORMAT:
-        raise ParseError(f"expected header tag {SAMPLE_DUMP_FORMAT!r}", line=1)
-    try:
-        meta = dict(kv.split("=", 1) for kv in head[1:])
-        query_id = meta["query_id"]
-        count = int(meta["num_samples"])
-        master_seed = int(meta["master_seed"])
-    except (KeyError, ValueError) as e:
-        raise ParseError(f"bad sample dump header: {e}", line=1) from e
-    if not 1 <= count < len(lines):  # a row per sample follows the header
-        raise ParseError(f"num_samples={count} does not fit a file of {len(lines)} lines", line=1)
-
-    positions = np.empty((count, 3))
-    quaternions = np.empty((count, 4))
-    seen = np.zeros(count, dtype=bool)
-    for lineno, raw in enumerate(lines[1:], start=2):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
-        if len(parts) != 8:
-            raise ParseError(f"expected 8 fields, got {len(parts)}", line=lineno)
-        try:
-            idx = int(parts[0])
-            values = [float(v) for v in parts[1:]]
-            Vec3.from_array(values[:3])  # raises on non-finite positions
-            UnitQuaternion.from_array(values[3:])  # and on non-unit quaternions
-        except ValueError as e:
-            raise ParseError(str(e), line=lineno) from e
-        if not (0 <= idx < count):
-            raise ParseError(f"sample index {idx} out of range [0, {count})", line=lineno)
-        if seen[idx]:
-            raise ParseError(f"sample index {idx} appears twice", line=lineno)
-        seen[idx] = True
-        positions[idx] = values[:3]
-        quaternions[idx] = values[3:]
-    if not seen.all():
-        raise ParseError(f"header promised {count} samples but file has {int(seen.sum())}")
-    return query_id, PoseSampleSet(positions, quaternions, count, master_seed)

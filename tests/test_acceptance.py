@@ -623,8 +623,6 @@ def test_04_degeneracy_suite(cli_runs, tmp_path):
     pair = PoseSampleSet(
         positions=np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
         quaternions=np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)),
-        sample_count=2,
-        master_seed=0,
     )
     est_pair = estimate(pair)
     check(
@@ -635,18 +633,16 @@ def test_04_degeneracy_suite(cli_runs, tmp_path):
     same = PoseSampleSet(
         positions=np.tile([1.0, 2.0, 3.0], (5, 1)),
         quaternions=np.tile(q.as_array(), (5, 1)),
-        sample_count=5,
-        master_seed=0,
     )
     est_same = estimate(same)
     check(est_same.trans_trace == 0.0 and est_same.rot_trace == 0.0, "identical samples")
     iso_rng = derive_rng(4242)
     iso_pos = iso_rng.normal(size=(4000, 3)) * 0.5
-    iso = PoseSampleSet(iso_pos, np.tile([1.0, 0, 0, 0], (4000, 1)), 4000, 0)
+    iso = PoseSampleSet(iso_pos, np.tile([1.0, 0, 0, 0], (4000, 1)))
     iso_det, _ = estimate_determinant(iso)
     check(abs(iso_det - 0.5**6) < 0.25 * 0.5**6, "isotropic determinant near v^3")
     line_pos = np.outer(iso_rng.normal(size=200), [1.0, 0.0, 0.0])
-    line = PoseSampleSet(line_pos, np.tile([1.0, 0, 0, 0], (200, 1)), 200, 0)
+    line = PoseSampleSet(line_pos, np.tile([1.0, 0, 0, 0], (200, 1)))
     line_det, _ = estimate_determinant(line)
     check(
         abs(line_det) < 1e-12 and estimate(line).trans_trace > 0.0,
@@ -659,7 +655,7 @@ def test_04_degeneracy_suite(cli_runs, tmp_path):
     flipped_rows[1] *= -1.0
     flipped_rows[4] *= -1.0
     flipped_rows[7] *= -1.0
-    flip2 = PoseSampleSet(flip_set.positions.copy(), flipped_rows, 10, 21)
+    flip2 = PoseSampleSet(flip_set.positions.copy(), flipped_rows)
     ref_est, alt_est = estimate(flip_set), estimate(flip2)
     check(
         ref_est.trans_trace == alt_est.trans_trace
@@ -701,8 +697,6 @@ def test_04_degeneracy_suite(cli_runs, tmp_path):
             PoseSampleSet(
                 positions=np.array([[0.0, 0.0, 0.0], [1e6, 0.0, 0.0]]),
                 quaternions=np.tile([1.0, 0, 0, 0], (2, 1)),
-                sample_count=2,
-                master_seed=0,
             )
         ),
     )
@@ -1083,8 +1077,8 @@ def test_12_trace_vs_determinant():
     elongated_pos = np.outer(along, [1.0, 0.0, 0.0]) + rng.normal(size=(n, 3)) * 1e-3
     iso_pos = rng.normal(size=(n, 3)) * 0.3
     quats = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
-    elongated = PoseSampleSet(elongated_pos, quats, n, 0)
-    isotropic = PoseSampleSet(iso_pos, quats.copy(), n, 0)
+    elongated = PoseSampleSet(elongated_pos, quats)
+    isotropic = PoseSampleSet(iso_pos, quats.copy())
     elong_trace = estimate(elongated).trans_trace
     elong_det, _ = estimate_determinant(elongated)
     iso_trace = estimate(isotropic).trans_trace

@@ -64,7 +64,7 @@ class TestSmokePipeline:
         ])
         assert code == EXIT_OK
         summary = json.loads((pipeline["root"] / "eval_a.summary.json").read_text())
-        assert summary["format"] == "bayesreloc-report-v1"
+        assert summary["format"] == "bayesreloc-report-v2"
         assert summary["query_count"] == 10
         table = (pipeline["root"] / "eval_a.queries.tsv").read_text()
         assert table.startswith("# bayesreloc-eval-v1\n")
@@ -76,9 +76,9 @@ class TestSmokePipeline:
         ]
         assert cli(args + ["--out", str(pipeline["root"] / "rep1")]) == EXIT_OK
         assert cli(args + ["--out", str(pipeline["root"] / "rep2")]) == EXIT_OK
-        t1 = (pipeline["root"] / "rep1.queries.tsv").read_bytes()
-        t2 = (pipeline["root"] / "rep2.queries.tsv").read_bytes()
-        assert t1 == t2
+        for suffix in (".queries.tsv", ".summary.json"):
+            first = (pipeline["root"] / f"rep1{suffix}").read_bytes()
+            assert first == (pipeline["root"] / f"rep2{suffix}").read_bytes()
 
     def test_sweep(self, pipeline):
         out = pipeline["root"] / "sweep.tsv"
@@ -226,6 +226,54 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "--thresholds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("thresholds", ["nan,1", "1,nan", "nan"])
+    def test_nan_thresholds(self, tmp_path, capsys, thresholds):
+        code = cli([
+            "hist", "--table", str(tmp_path / "absent.tsv"),
+            "--thresholds", thresholds, "--out", str(tmp_path / "h.tsv"),
+        ])
+        assert code == EXIT_USAGE
+        assert "--thresholds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--train", "--calib", "--aliasing-period", "--scene-id"])
+    def test_bad_gen_flag(self, tmp_path, capsys, flag):
+        # a bad value, and what the message says besides the flag
+        value, reason = {
+            "--train": ("0", ">= 1"),
+            "--calib": ("3", ">= 8"),
+            "--aliasing-period": ("-1", "aliasing_period must be positive"),
+            "--scene-id": ("a b", "scene_id must be non-empty without whitespace"),
+        }[flag]
+        flags = {"--scene-id": "g", "--train": "40", "--calib": "10", "--test": "12", flag: value}
+        argv = [v for pair in flags.items() for v in pair]
+        assert cli(["gen", *argv, "--out", str(tmp_path / "d")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and flag in err and reason in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flag", ["--epochs", "--batch", "--lr", "--dropout", "--momentum", "--beta", "--hidden"]
+    )
+    def test_bad_train_flag(self, tmp_path, capsys, flag):
+        value, reason = {
+            "--epochs": ("0", ">= 1"),
+            "--batch": ("0", ">= 1"),
+            "--lr": ("nan", "learning_rate must be >= 0"),
+            "--dropout": ("1.5", "[0, 1)"),
+            "--momentum": ("1", "momentum must be in [0, 1)"),
+            "--beta": ("0", "beta must be positive"),
+            "--hidden": ("0", "positive widths"),
+        }[flag]
+        # Flags are checked before the dataset is read; reading this one
+        # would be a data error.
+        code = cli([
+            "train", "--data", str(tmp_path / "absent"), flag, value,
+            "--out", str(tmp_path / "x.net"),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and flag in err and reason in err
+
     @pytest.mark.parametrize("samples", ["0", "129"])
     @pytest.mark.parametrize("command", ["calibrate", "eval", "detect", "time"])
     def test_samples_out_of_range(self, pipeline, tmp_path, capsys, command, samples):
@@ -249,7 +297,7 @@ class TestUsageErrors:
         net, data = str(pipeline["net"]), str(pipeline["data"])
         out = str(tmp_path / "out")
         args = {
-            "gen": ["--scene-id", "g", "--train", "4", "--calib", "2", "--test", "2", "--out", out],
+            "gen": ["--scene-id", "g", "--train", "4", "--calib", "8", "--test", "2", "--out", out],
             "train": ["--data", data, "--hidden", "4", "--epochs", "1", "--out", out],
             "sweep": ["--net", net, "--data", data, "--counts", "1", "--reps", "1", "--out", out],
             "hist": ["--table", str(tmp_path / "missing.tsv"), "--out", out],

@@ -109,14 +109,9 @@ class TestDetect:
     def test_winner_minimizes_chosen_channel(self):
         models = [_toy_model("a", seed=1), _toy_model("b", seed=2), _toy_model("c", seed=3)]
         x = np.array([1.0, 0.3, -0.8, 0.2, 0.6, -0.4])
-        for channel, pick in (
-            ("combined", lambda s: s.combined),
-            ("trans", lambda s: s.trans_pct),
-            ("rot", lambda s: s.rot_pct),
-        ):
-            result = detect(models, x, num_samples=12, master_seed=2, channel=channel)
-            values = [pick(score) for _, score in result.scores]
-            assert result.scene_id == result.scores[int(np.argmin(values))][0]
+        result = detect(models, x, num_samples=12, master_seed=2)
+        values = [score.combined for _, score in result.scores]
+        assert result.scene_id == result.scores[int(np.argmin(values))][0]
 
     def _candidate_estimates(self, models, x, num_samples, master_seed):
         return [
@@ -156,11 +151,6 @@ class TestDetect:
         want = [detection_score(m.calibration, e) for m, e in zip(models, ests)]
         assert [s for _, s in result.scores] == want
         assert want != [z_score(m.calibration, e) for m, e in zip(models, ests)]
-
-    def test_unknown_channel(self):
-        models = [_toy_model("a", seed=1), _toy_model("b", seed=2)]
-        with pytest.raises(ValueError):
-            detect(models, np.zeros(6), channel="both")
 
     def test_argmin_invariant_under_monotone_transforms(self):
         models = [_toy_model("a", seed=1), _toy_model("b", seed=2), _toy_model("c", seed=3)]

@@ -208,7 +208,6 @@ class TestRunEval:
         assert len(report.records) == len(dataset.test)
         assert report.summary.num_samples == 6
         assert report.summary.seed == 11
-        assert report.summary.mean_wall_time_s > 0.0
 
     def test_mismatched_feature_width_raises(self, model, dataset):
         wide = dataclasses.replace(dataset.spec, feature_dim=9)
@@ -318,6 +317,11 @@ class TestRunHistogram:
             run_histogram(report, [2.0, 1.0])
         with pytest.raises(ValueError):
             run_histogram([], [1.0])
+
+    @pytest.mark.parametrize("thresholds", [[float("nan")], [float("nan"), 1.0], [1.0, float("nan")]])
+    def test_rejects_nan_thresholds(self, report, thresholds):
+        with pytest.raises(ValueError, match="numbers"):
+            run_histogram(report, thresholds)
 
 
 class TestRunTiming:
@@ -447,7 +451,7 @@ class TestReportFiles:
         path = tmp_path / "s.json"
         write_summary(path, report)
         doc = json.loads(path.read_text())
-        assert doc["format"] == "bayesreloc-report-v1"
+        assert doc["format"] == "bayesreloc-report-v2"
         assert doc["median_trans_error_m"] == report.summary.median_trans_error
         assert doc["median_rot_error_deg"] == report.summary.median_rot_error_deg
         assert doc["median_convention"] == "lower"

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_regressor import _fast_path_nets
 
-from bayesreloc.errors import DegenerateQuaternion, ParseError
+from bayesreloc.errors import DegenerateQuaternion
 from bayesreloc.geometry import UnitQuaternion, Vec3, normalize
 from bayesreloc.mc_posterior import (
     DEFAULT_NUM_SAMPLES,
@@ -25,9 +25,7 @@ from bayesreloc.mc_posterior import (
     estimate,
     estimate_determinant,
     localize,
-    read_sample_dump,
     sample_posterior,
-    write_sample_dump,
 )
 from bayesreloc.regressor import LayerSpec, build_network, draw_mask, forward
 
@@ -60,7 +58,7 @@ def _cloud(rng, n, base_sigma=0.3, angle_deg=20.0):
         quaternions[i] = [np.cos(half), *(np.sin(half) * axis)]
         if quaternions[i] @ quaternions[0] < 0.0:
             quaternions[i] = -quaternions[i]
-    return PoseSampleSet(positions, quaternions, n, master_seed=0)
+    return PoseSampleSet(positions, quaternions)
 
 
 def _reference_sample_posterior(net, x, num_samples, master_seed):
@@ -74,7 +72,7 @@ def _reference_sample_posterior(net, x, num_samples, master_seed):
         if i > 0 and float(row @ quaternions[0]) < 0.0:
             row = -row
         quaternions[i] = row
-    return PoseSampleSet(positions, quaternions, num_samples, master_seed)
+    return PoseSampleSet(positions, quaternions)
 
 
 def _reference_quaternion_mean(samples):
@@ -101,8 +99,8 @@ def _reference_canonical_sign(q):
 
 def _reference_estimate(samples):
     """The estimate built from one UnitQuaternion per sample."""
-    n = samples.sample_count
     positions = samples.positions
+    n = len(positions)
     quats = np.array(samples.quaternions, dtype=float)
     flip = quats @ quats[0] < 0.0
     quats[flip] = -quats[flip]
@@ -151,7 +149,7 @@ def sample_sets(draw):
     if draw(st.booleans()):
         flip = rng.random(n) < 0.5
         quaternions[flip] = -quaternions[flip]
-    return PoseSampleSet(positions, quaternions, n, 0)
+    return PoseSampleSet(positions, quaternions)
 
 
 class TestArrayPathMatchesReference:
@@ -163,10 +161,10 @@ class TestArrayPathMatchesReference:
     @SETTINGS
     @given(samples=sample_sets(), seed=st.integers(0, 2**32 - 1))
     def test_estimate_invariant_to_sign_flips(self, samples, seed):
-        flip = np.random.default_rng(seed).random(samples.sample_count) < 0.5
+        flip = np.random.default_rng(seed).random(len(samples.positions)) < 0.5
         quats = samples.quaternions.copy()
         quats[flip] = -quats[flip]
-        flipped = PoseSampleSet(samples.positions, quats, samples.sample_count, 0)
+        flipped = PoseSampleSet(samples.positions, quats)
         assert _bits(estimate(flipped)) == _bits(estimate(samples))
 
     @settings(max_examples=60, deadline=None)
@@ -192,7 +190,6 @@ class TestArrayPathMatchesReference:
         got = sample_posterior(net, x, num_samples, master_seed)
         assert got.positions.tobytes() == want.positions.tobytes()
         assert got.quaternions.tobytes() == want.quaternions.tobytes()
-        assert (got.sample_count, got.master_seed) == (num_samples, master_seed)
 
     @SETTINGS
     @given(
@@ -265,7 +262,7 @@ class TestSamplePosterior:
             sample_posterior(net, x, 0)
         with pytest.raises(ValueError):
             sample_posterior(net, x, MAX_NUM_SAMPLES + 1)
-        assert sample_posterior(net, x, MAX_NUM_SAMPLES, 0).sample_count == MAX_NUM_SAMPLES
+        assert len(sample_posterior(net, x, MAX_NUM_SAMPLES, 0).positions) == MAX_NUM_SAMPLES
 
     def test_net_without_dropout_layers_is_degenerate(self):
         net = _net(p=0.5, dropout=False)
@@ -289,7 +286,7 @@ class TestEstimate:
     def test_two_point_cloud(self):
         positions = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         quats = np.stack([IDENTITY_ROW, IDENTITY_ROW])
-        est = estimate(PoseSampleSet(positions, quats, 2, 0))
+        est = estimate(PoseSampleSet(positions, quats))
         assert est.trans_mean == Vec3(1.0, 0.0, 0.0)
         assert est.trans_trace == 2.0
         assert est.rot_trace == 0.0
@@ -297,13 +294,13 @@ class TestEstimate:
     def test_identical_samples_zero_traces(self):
         positions = np.tile([1.5, -2.0, 0.25], (6, 1))
         quats = np.tile(IDENTITY_ROW, (6, 1))
-        est = estimate(PoseSampleSet(positions, quats, 6, 0))
+        est = estimate(PoseSampleSet(positions, quats))
         assert est.trans_trace == 0.0
         assert est.rot_trace == 0.0
         assert est.degenerate
 
     def test_single_sample_degenerate(self):
-        s = PoseSampleSet(np.array([[1.0, 2.0, 3.0]]), IDENTITY_ROW[None, :], 1, 0)
+        s = PoseSampleSet(np.array([[1.0, 2.0, 3.0]]), IDENTITY_ROW[None, :])
         est = estimate(s)
         assert est.trans_trace == 0.0 and est.rot_trace == 0.0
         assert est.degenerate
@@ -314,7 +311,7 @@ class TestEstimate:
         n = 1000
         positions = rng.normal(scale=0.5, size=(n, 3))
         quats = np.tile(IDENTITY_ROW, (n, 1))
-        est = estimate(PoseSampleSet(positions, quats, n, 0))
+        est = estimate(PoseSampleSet(positions, quats))
         assert abs(est.trans_trace - 0.75) < 0.075
 
     def test_trace_matches_independent_variance_oracles(self):
@@ -342,7 +339,7 @@ class TestEstimate:
         base = estimate(s).trans_trace
         for c in (0.5, 2.0, 7.0):
             mean = s.positions.mean(axis=0)
-            scaled = PoseSampleSet(mean + c * (s.positions - mean), s.quaternions, 30, 0)
+            scaled = PoseSampleSet(mean + c * (s.positions - mean), s.quaternions)
             assert estimate(scaled).trans_trace == pytest.approx(c * c * base, rel=1e-12)
 
     def test_translation_shifts_mean_not_trace(self):
@@ -350,7 +347,7 @@ class TestEstimate:
         s = _cloud(rng, 25)
         base = estimate(s)
         t = np.array([10.0, -4.0, 2.5])
-        moved = estimate(PoseSampleSet(s.positions + t, s.quaternions, 25, 0))
+        moved = estimate(PoseSampleSet(s.positions + t, s.quaternions))
         assert moved.trans_trace == pytest.approx(base.trans_trace, rel=1e-12)
         shifted = base.trans_mean.as_array() + t
         assert np.allclose(moved.trans_mean.as_array(), shifted, rtol=0, atol=1e-12)
@@ -364,7 +361,7 @@ class TestEstimate:
             flip = rng.random(n) < 0.5
             quats = s.quaternions.copy()
             quats[flip] = -quats[flip]
-            flipped = estimate(PoseSampleSet(s.positions, quats, n, 0))
+            flipped = estimate(PoseSampleSet(s.positions, quats))
             assert flipped.trans_trace == base.trans_trace
             assert flipped.rot_trace == base.rot_trace
             assert flipped.rot_mean == base.rot_mean
@@ -392,7 +389,7 @@ class TestEstimateDeterminant:
         sigma = 0.4
         positions = rng.normal(scale=sigma, size=(n, 3))
         quats = np.tile(IDENTITY_ROW, (n, 1))
-        s = PoseSampleSet(positions, quats, n, 0)
+        s = PoseSampleSet(positions, quats)
         trans_det, _ = estimate_determinant(s)
         per_axis = positions.var(axis=0, ddof=1)
         assert trans_det == pytest.approx(float(np.prod(per_axis)), rel=0.05)
@@ -403,7 +400,7 @@ class TestEstimateDeterminant:
         ts = np.linspace(-1.0, 1.0, n)
         positions = np.stack([ts, np.zeros(n), np.zeros(n)], axis=1)
         quats = np.tile(IDENTITY_ROW, (n, 1))
-        s = PoseSampleSet(positions, quats, n, 0)
+        s = PoseSampleSet(positions, quats)
         trans_det, _ = estimate_determinant(s)
         est = estimate(s)
         assert est.trans_trace > 0.3
@@ -433,11 +430,11 @@ class TestEstimateDeterminant:
         flip = rng.random(16) < 0.5
         quats = s.quaternions.copy()
         quats[flip] = -quats[flip]
-        flipped = estimate_determinant(PoseSampleSet(s.positions, quats, 16, 0))
+        flipped = estimate_determinant(PoseSampleSet(s.positions, quats))
         assert flipped == base
 
     def test_single_sample_rejected(self):
-        s = PoseSampleSet(np.zeros((1, 3)), IDENTITY_ROW[None, :], 1, 0)
+        s = PoseSampleSet(np.zeros((1, 3)), IDENTITY_ROW[None, :])
         with pytest.raises(ValueError):
             estimate_determinant(s)
 
@@ -466,154 +463,3 @@ class TestLocalize:
     def test_default_and_max_sample_counts(self):
         assert DEFAULT_NUM_SAMPLES == 40
         assert MAX_NUM_SAMPLES == 128
-
-
-class TestSampleDump:
-    def test_round_trip_is_exact(self, tmp_path):
-        net = _net()
-        s = sample_posterior(net, np.array([0.1, 0.2, 0.3, 0.4]), 9, master_seed=77)
-        path = tmp_path / "dump.txt"
-        write_sample_dump(path, s, "query-7")
-        query_id, back = read_sample_dump(path)
-        assert query_id == "query-7"
-        assert back.sample_count == 9
-        assert back.master_seed == 77
-        assert np.array_equal(back.positions, s.positions)
-        assert np.array_equal(back.quaternions, s.quaternions)
-
-    def test_comments_and_blank_lines_tolerated(self, tmp_path):
-        net = _net()
-        s = sample_posterior(net, np.array([0.6, -0.3, 0.9, 0.2]), 3, master_seed=1)
-        path = tmp_path / "dump.txt"
-        write_sample_dump(path, s, "q")
-        lines = path.read_text().splitlines()
-        lines.insert(2, "")
-        lines.insert(3, "# a stray comment")
-        path.write_text("\n".join(lines) + "\n")
-        _, back = read_sample_dump(path)
-        assert np.array_equal(back.positions, s.positions)
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.txt"
-        path.write_text("")
-        with pytest.raises(ParseError) as exc:
-            read_sample_dump(path)
-        assert exc.value.line == 1
-
-    def test_wrong_header_tag(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# some-other-format query_id=q num_samples=1 master_seed=0\n0 0 0 0 1 0 0 0\n")
-        with pytest.raises(ParseError) as exc:
-            read_sample_dump(path)
-        assert exc.value.line == 1
-
-    def test_header_field_without_value(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# bayesreloc-samples-v1 query_id=q num_samples=1 master_seed=0 junk\n0 0 0 0 1 0 0 0\n")
-        with pytest.raises(ParseError) as exc:
-            read_sample_dump(path)
-        assert exc.value.line == 1
-
-    def test_bad_field_count_reports_line(self, tmp_path):
-        net = _net()
-        s = sample_posterior(net, np.array([0.6, -0.3, 0.9, 0.2]), 4, master_seed=1)
-        path = tmp_path / "dump.txt"
-        write_sample_dump(path, s, "q")
-        lines = path.read_text().splitlines()
-        lines[4] = "2 1.0 2.0"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as exc:
-            read_sample_dump(path)
-        assert exc.value.line == 5
-
-    def test_bad_float_reports_line(self, tmp_path):
-        net = _net()
-        s = sample_posterior(net, np.array([0.6, -0.3, 0.9, 0.2]), 4, master_seed=1)
-        path = tmp_path / "dump.txt"
-        write_sample_dump(path, s, "q")
-        lines = path.read_text().splitlines()
-        parts = lines[3].split()
-        parts[1] = "not-a-number"
-        lines[3] = " ".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as exc:
-            read_sample_dump(path)
-        assert exc.value.line == 4
-
-    def test_index_out_of_range(self, tmp_path):
-        net = _net()
-        s = sample_posterior(net, np.array([0.6, -0.3, 0.9, 0.2]), 2, master_seed=1)
-        path = tmp_path / "dump.txt"
-        write_sample_dump(path, s, "q")
-        lines = path.read_text().splitlines()
-        lines[3] = "9" + lines[3][1:]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError):
-            read_sample_dump(path)
-
-    def test_missing_rows(self, tmp_path):
-        net = _net()
-        s = sample_posterior(net, np.array([0.6, -0.3, 0.9, 0.2]), 5, master_seed=1)
-        path = tmp_path / "dump.txt"
-        write_sample_dump(path, s, "q")
-        lines = path.read_text().splitlines()
-        del lines[4]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError):
-            read_sample_dump(path)
-
-    def test_duplicate_index_reports_line(self, tmp_path):
-        # index 0 twice and index 1 missing: the row count still matches the
-        # header, so only tracking distinct indices catches it
-        net = _net()
-        s = sample_posterior(net, np.array([0.6, -0.3, 0.9, 0.2]), 3, master_seed=1)
-        path = tmp_path / "dump.txt"
-        write_sample_dump(path, s, "q")
-        lines = path.read_text().splitlines()
-        row_zero = next(i for i, line in enumerate(lines) if line.startswith("0 "))
-        row_one = next(i for i, line in enumerate(lines) if line.startswith("1 "))
-        lines[row_one] = lines[row_zero]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as exc:
-            read_sample_dump(path)
-        assert exc.value.line == row_one + 1
-        assert "twice" in str(exc.value)
-
-    def _dump_with_row(self, tmp_path, row):
-        net = _net()
-        s = sample_posterior(net, np.array([0.6, -0.3, 0.9, 0.2]), 3, master_seed=1)
-        path = tmp_path / "dump.txt"
-        write_sample_dump(path, s, "q")
-        lines = path.read_text().splitlines()
-        lines[3] = row
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
-    def test_non_finite_position_reports_line(self, tmp_path):
-        path = self._dump_with_row(tmp_path, "1 nan 0.0 0.0 1.0 0.0 0.0 0.0")
-        with pytest.raises(ParseError) as exc:
-            read_sample_dump(path)
-        assert exc.value.line == 4
-
-    def test_non_unit_quaternion_reports_line(self, tmp_path):
-        path = self._dump_with_row(tmp_path, "1 0.0 0.0 0.0 3 0 0 0")
-        with pytest.raises(ParseError) as exc:
-            read_sample_dump(path)
-        assert exc.value.line == 4
-
-    @pytest.mark.parametrize("count", [-1, 0, 10**6])
-    def test_sample_count_must_fit_the_file(self, tmp_path, count):
-        # a header promising more rows than the file has is refused before
-        # anything is allocated for them
-        path = tmp_path / "bad.txt"
-        path.write_text(f"# bayesreloc-samples-v1 query_id=q num_samples={count} master_seed=0\n"
-                        "0 0.0 0.0 0.0 1.0 0.0 0.0 0.0\n")
-        with pytest.raises(ParseError) as exc:
-            read_sample_dump(path)
-        assert exc.value.line == 1
-
-    def test_query_id_rejects_whitespace(self, tmp_path):
-        net = _net()
-        s = sample_posterior(net, np.array([0.6, -0.3, 0.9, 0.2]), 2, master_seed=1)
-        with pytest.raises(ValueError):
-            write_sample_dump(tmp_path / "x.txt", s, "bad id")
