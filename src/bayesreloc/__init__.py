@@ -61,6 +61,7 @@ from .harness import (
     QueryRecord,
     SweepReport,
     TimingReport,
+    run_calibration,
     run_eval,
     run_histogram,
     run_sweep,
@@ -88,6 +89,7 @@ from .regressor import (
     forward,
     load_checkpoint,
     loss_gradient,
+    pose_network,
     save_checkpoint,
     train,
 )

@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from .calibration import calibrate, load_calibration, save_calibration
+from .calibration import load_calibration, save_calibration
 from .detector import SceneModel, confusion, format_confusion
 from .errors import (
     DegenerateMean,
@@ -29,6 +29,7 @@ from .errors import (
 from .geometry import LossConfig
 from .harness import (
     read_query_table,
+    run_calibration,
     run_eval,
     run_histogram,
     run_sweep,
@@ -38,17 +39,9 @@ from .harness import (
     write_summary,
     write_sweep,
 )
-from .mc_posterior import MAX_NUM_SAMPLES, localize
-from .regressor import (
-    LayerSpec,
-    TrainConfig,
-    build_network,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
+from .mc_posterior import MAX_NUM_SAMPLES
+from .regressor import TrainConfig, load_checkpoint, pose_network, save_checkpoint, train
 from .scenes import MIN_CALIB_EXAMPLES, SceneSpec, generate_scene, load_dataset, load_scene_spec, save_dataset
-from .seeding import derive_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,9 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bayesreloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a synthetic scene dataset")
+    # gen's own --seed defaults to None, so a --seed given with --spec can be told apart.
+    p = sub.add_parser("gen", help="generate a synthetic scene dataset")
     p.add_argument("--scene-id", help="scene identifier (defaults from --spec)")
     p.add_argument("--spec", help="scene spec JSON to regenerate from")
+    p.add_argument("--seed", type=int, default=None, help="generator seed (default 0)")
     p.add_argument("--train", type=_bounded_int(1), default=2000)
     p.add_argument("--calib", type=_bounded_int(MIN_CALIB_EXAMPLES), default=200)
     p.add_argument("--test", type=_bounded_int(1), default=400)
@@ -209,6 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     if args.spec:
+        for flag, value in (("--seed", args.seed), ("--aliasing-period", args.aliasing_period)):
+            if value is not None:
+                raise _UsageError(f"{flag} cannot be given with --spec, which fixes it")
         spec = load_scene_spec(args.spec)
         if args.scene_id and args.scene_id != spec.scene_id:
             raise _UsageError(f"--scene-id {args.scene_id!r} conflicts with spec {spec.scene_id!r}")
@@ -218,7 +216,7 @@ def _cmd_gen(args) -> int:
         try:
             spec = SceneSpec(
                 scene_id=args.scene_id,
-                generator_seed=args.seed,
+                generator_seed=0 if args.seed is None else args.seed,
                 aliasing_period=args.aliasing_period,
             )
         except InvalidSpec as e:
@@ -248,19 +246,7 @@ def _cmd_train(args) -> int:
     except ValueError as e:
         raise _UsageError(f"--lr, --momentum or --beta: {e}") from e
     dataset = load_dataset(args.data)
-    widths = [dataset.spec.feature_dim] + hidden + [7]
-    specs = []
-    n_layers = len(widths) - 1
-    for i in range(n_layers):
-        specs.append(
-            LayerSpec(
-                input_width=widths[i],
-                output_width=widths[i + 1],
-                has_dropout=i >= n_layers - 2,
-                activation="identity" if i == n_layers - 1 else "relu",
-            )
-        )
-    net = build_network(specs, args.dropout, args.seed)
+    net = pose_network(dataset.spec.feature_dim, hidden, args.dropout, args.seed)
     examples = [(ex.features, ex.pose) for ex in dataset.train]
     result = train(net, examples, config)
     save_checkpoint(args.out, result.net)
@@ -274,17 +260,7 @@ def _cmd_train(args) -> int:
 def _cmd_calibrate(args) -> int:
     net = load_checkpoint(args.net)
     dataset = load_dataset(args.data)
-    if dataset.spec.feature_dim != net.input_width:
-        raise ShapeMismatch(
-            f"dataset feature_dim {dataset.spec.feature_dim} does not match "
-            f"network input width {net.input_width}"
-        )
-    traces, positions = [], []
-    for qi, ex in enumerate(dataset.calib):
-        _, est = localize(net, ex.features, args.samples, derive_seed(args.seed, qi))
-        traces.append((est.trans_trace, est.rot_trace))
-        positions.append(est.trans_mean)
-    model = calibrate(traces, dataset.spec.scene_id, positions)
+    model = run_calibration(net, dataset, args.samples, args.seed)
     save_calibration(args.out, model)
     print(
         f"calibrated {model.source_scene!r} on {model.population_size} queries: "

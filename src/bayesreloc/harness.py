@@ -1,5 +1,5 @@
-"""Experiment runners: per-scene evaluation, sample-count sweeps, cumulative
-error histograms, and wall-clock timing, plus their text report formats."""
+"""Experiment runners: per-scene calibration and evaluation, sample-count
+sweeps, cumulative error histograms, wall-clock timing, and report formats."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import z_score
+from .calibration import CalibrationModel, calibrate, z_score
 from .detector import SceneModel
 from .errors import ParseError, ShapeMismatch
 from .geometry import (
@@ -22,7 +22,7 @@ from .geometry import (
     rotation_error_deg,
     translation_error,
 )
-from .mc_posterior import DEFAULT_NUM_SAMPLES, localize
+from .mc_posterior import DEFAULT_NUM_SAMPLES, MAX_NUM_SAMPLES, localize
 from .regressor import NetworkParams, forward
 from .scenes import SceneDataset, nearest_neighbour_pose
 from .seeding import derive_seed
@@ -123,6 +123,35 @@ def _network_of(model: SceneModel | NetworkParams) -> NetworkParams:
     return model.network if isinstance(model, SceneModel) else model
 
 
+def _check_feature_dim(net: NetworkParams, dataset: SceneDataset) -> None:
+    if dataset.spec.feature_dim != net.input_width:
+        raise ShapeMismatch(
+            f"dataset feature_dim {dataset.spec.feature_dim} does not match "
+            f"network input width {net.input_width}"
+        )
+
+
+def run_calibration(
+    net: NetworkParams,
+    dataset: SceneDataset,
+    num_samples: int = DEFAULT_NUM_SAMPLES,
+    seed: int = 0,
+) -> CalibrationModel:
+    """Fit the scene's calibration from Monte Carlo traces over its calib split.
+
+    Query qi draws its masks from ``derive_seed(seed, qi)``.  Each query's
+    predicted (mean) position goes with its traces, so the model carries
+    the pose trend that :func:`detection_score` uses.
+    """
+    _check_feature_dim(net, dataset)
+    traces, positions = [], []
+    for qi, ex in enumerate(dataset.calib):
+        _, est = localize(net, ex.features, num_samples, derive_seed(seed, qi))
+        traces.append((est.trans_trace, est.rot_trace))
+        positions.append(est.trans_mean)
+    return calibrate(traces, dataset.spec.scene_id, positions)
+
+
 def run_eval(
     model: SceneModel,
     dataset: SceneDataset,
@@ -142,11 +171,7 @@ def run_eval(
     net = model.network
     if len(dataset.test) == 0 or len(dataset.train) == 0:
         raise ValueError("dataset needs non-empty train and test splits")
-    if dataset.spec.feature_dim != net.input_width:
-        raise ShapeMismatch(
-            f"dataset feature_dim {dataset.spec.feature_dim} does not match "
-            f"network input width {net.input_width}"
-        )
+    _check_feature_dim(net, dataset)
 
     train_emb = np.stack([ex.features for ex in dataset.train])
     records = []
@@ -235,8 +260,11 @@ def run_sweep(
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     counts = sorted(set(int(c) for c in sample_counts) | {0})
-    if counts[0] < 0:
-        raise ValueError(f"sample counts must be >= 0, got {counts[0]}")
+    # sample_posterior would reject a count too large only after the smaller ones ran
+    if counts[0] < 0 or counts[-1] > MAX_NUM_SAMPLES:
+        raise ValueError(
+            f"sample counts must lie in [0, {MAX_NUM_SAMPLES}], got {list(sample_counts)}"
+        )
     net = _network_of(model)
 
     rows = []

@@ -160,6 +160,29 @@ def build_network(specs: Sequence[LayerSpec], dropout_p: float, seed: int) -> Ne
     return NetworkParams(layers, float(dropout_p), int(seed))
 
 
+def pose_network(
+    input_width: int, hidden: Sequence[int], dropout_p: float, seed: int
+) -> NetworkParams:
+    """Build the relocalizer's architecture with :func:`build_network`.
+
+    ReLU hidden layers of the given widths feed an identity head of width
+    POSE_WIDTH; dropout acts on the inputs of the last two weight layers
+    only.  ``hidden=()`` gives a single dropout-then-identity layer.
+    """
+    widths = [input_width, *hidden, POSE_WIDTH]
+    n = len(widths) - 1
+    specs = [
+        LayerSpec(
+            widths[i],
+            widths[i + 1],
+            has_dropout=i >= n - 2,
+            activation="identity" if i == n - 1 else "relu",
+        )
+        for i in range(n)
+    ]
+    return build_network(specs, dropout_p, seed)
+
+
 def _mask_widths(net: NetworkParams) -> list[int]:
     """Mask vector lengths of one pass, one per dropout layer in order."""
     return [layer.spec.input_width for layer in net.layers if layer.spec.has_dropout]

@@ -46,6 +46,7 @@ from bayesreloc.geometry import (
     translation_error,
 )
 from bayesreloc.harness import (
+    run_calibration,
     run_eval,
     run_histogram,
     run_sweep,
@@ -67,6 +68,7 @@ from bayesreloc.regressor import (
     feature_embedding,
     forward,
     loss_gradient,
+    pose_network,
     train,
 )
 from bayesreloc.scenes import (
@@ -80,7 +82,7 @@ from bayesreloc.scenes import (
     save_dataset,
     save_examples,
 )
-from bayesreloc.seeding import derive_rng, derive_seed
+from bayesreloc.seeding import derive_rng
 from bayesreloc.stats import spearman
 
 # Frozen benchmark configuration.  The scene and training seeds pin one
@@ -126,27 +128,28 @@ def _sp(a, b):
     return float("nan") if v is None else v
 
 
-def _pose_network(input_dim, hidden, dropout_p, seed):
-    widths = [input_dim, *hidden, 7]
-    specs = []
-    n = len(widths) - 1
-    for i in range(n):
-        specs.append(
-            LayerSpec(
-                widths[i],
-                widths[i + 1],
-                has_dropout=i >= n - 2,
-                activation="identity" if i == n - 1 else "relu",
-            )
-        )
-    return build_network(specs, dropout_p, seed)
-
-
 def _random_pose(rng):
     return Pose(
         Vec3(*(rng.normal(size=3) * 2.0)),
         normalize(rng.normal(size=4)),
     )
+
+
+def _scene_model(scene_id, gen_seed, net_seed):
+    """A benchmark-size scene with its trained and calibrated model."""
+    spec = SceneSpec(scene_id=scene_id, generator_seed=gen_seed)
+    dataset = generate_scene(spec)
+    net = pose_network(spec.feature_dim, HIDDEN, DROPOUT_P, net_seed)
+    config = TrainConfig(
+        learning_rate=LEARNING_RATE,
+        batch_size=BATCH_SIZE,
+        epochs=EPOCHS,
+        loss=LossConfig(beta=BETA),
+        seed=net_seed,
+    )
+    net = train(net, [(ex.features, ex.pose) for ex in dataset.train], config).net
+    calibration = run_calibration(net, dataset, CALIB_SAMPLES, CALIB_SEED)
+    return dataset, SceneModel(scene_id=scene_id, network=net, calibration=calibration)
 
 
 # ---------------------------------------------------------------- fixtures
@@ -156,26 +159,7 @@ def _random_pose(rng):
 def trained_scene():
     """The benchmark scene with its trained and calibrated model."""
     t0 = time.monotonic()
-    spec = SceneSpec(scene_id="bench-main", generator_seed=SCENE_SEED)
-    dataset = generate_scene(spec)
-    net = _pose_network(spec.feature_dim, HIDDEN, DROPOUT_P, NET_SEED)
-    config = TrainConfig(
-        learning_rate=LEARNING_RATE,
-        batch_size=BATCH_SIZE,
-        epochs=EPOCHS,
-        loss=LossConfig(beta=BETA),
-        seed=NET_SEED,
-    )
-    net = train(net, [(ex.features, ex.pose) for ex in dataset.train], config).net
-    traces = []
-    for qi, ex in enumerate(dataset.calib):
-        _, est = localize(net, ex.features, CALIB_SAMPLES, derive_seed(CALIB_SEED, qi))
-        traces.append((est.trans_trace, est.rot_trace))
-    model = SceneModel(
-        scene_id=spec.scene_id,
-        network=net,
-        calibration=calibrate(traces, spec.scene_id),
-    )
+    dataset, model = _scene_model("bench-main", SCENE_SEED, NET_SEED)
     _timings["model"] = time.monotonic() - t0
     return dataset, model
 
@@ -206,27 +190,9 @@ def detection_setup():
     t0 = time.monotonic()
     models, test_sets = [], {}
     for gen_seed, net_seed in zip(DETECT_SCENE_SEEDS, DETECT_NET_SEEDS):
-        sid = f"scene-{gen_seed}"
-        spec = SceneSpec(scene_id=sid, generator_seed=gen_seed)
-        ds = generate_scene(spec)
-        net = _pose_network(spec.feature_dim, HIDDEN, DROPOUT_P, net_seed)
-        config = TrainConfig(
-            learning_rate=LEARNING_RATE,
-            batch_size=BATCH_SIZE,
-            epochs=EPOCHS,
-            loss=LossConfig(beta=BETA),
-            seed=net_seed,
-        )
-        net = train(net, [(ex.features, ex.pose) for ex in ds.train], config).net
-        traces, positions = [], []
-        for qi, ex in enumerate(ds.calib):
-            _, est = localize(net, ex.features, CALIB_SAMPLES, derive_seed(CALIB_SEED, qi))
-            traces.append((est.trans_trace, est.rot_trace))
-            positions.append(est.trans_mean)
-        models.append(
-            SceneModel(scene_id=sid, network=net, calibration=calibrate(traces, sid, positions))
-        )
-        test_sets[sid] = [ex.features for ex in ds.test[:DETECT_QUERIES]]
+        ds, model = _scene_model(f"scene-{gen_seed}", gen_seed, net_seed)
+        models.append(model)
+        test_sets[model.scene_id] = [ex.features for ex in ds.test[:DETECT_QUERIES]]
     _timings["detection models"] = time.monotonic() - t0
     return models, test_sets
 
@@ -294,18 +260,7 @@ def test_01_gradient_oracle():
         ((3, 14, 7), 0.4, 20.0, 2, 105),
     ]
     for widths, p, beta, batch_size, seed in nets:
-        specs = []
-        n = len(widths) - 1
-        for i in range(n):
-            specs.append(
-                LayerSpec(
-                    widths[i],
-                    widths[i + 1],
-                    has_dropout=i >= n - 2,
-                    activation="identity" if i == n - 1 else "relu",
-                )
-            )
-        net = build_network(specs, p, seed)
+        net = pose_network(widths[0], widths[1:-1], p, seed)
         rng = derive_rng(seed, 77)
         # Small random biases exercise the bias gradients; the offset on the
         # quaternion w keeps the raw output invertible even when a mask
@@ -549,7 +504,7 @@ def test_04_degeneracy_suite(cli_runs, tmp_path):
     # --- training determinism
     rng = derive_rng(404)
     tiny_data = [(rng.normal(size=5), _random_pose(rng)) for _ in range(6)]
-    tiny_net = _pose_network(5, (10,), 0.4, 9)
+    tiny_net = pose_network(5, (10,), 0.4, 9)
     # A nonzero quaternion bias keeps the raw output usable even on the
     # rare mask that drops a whole narrow layer.
     tiny_net.layers[-1].bias[3] = 1.0
@@ -577,14 +532,14 @@ def test_04_degeneracy_suite(cli_runs, tmp_path):
     )
 
     # --- feature embeddings
-    emb_net = _pose_network(5, (10,), 0.4, 9)
+    emb_net = pose_network(5, (10,), 0.4, 9)
     e1 = feature_embedding(emb_net, tiny_data[0][0])
     check(e1.shape == (10,), "embedding width")
     check(np.array_equal(e1, feature_embedding(emb_net, tiny_data[0][0])), "embedding determinism")
     check(float(np.linalg.norm(e1 - e1)) == 0.0, "embedding self distance")
 
     # --- Monte Carlo sampling degeneracies
-    det_net = _pose_network(5, (10,), 0.0, 9)
+    det_net = pose_network(5, (10,), 0.0, 9)
     det_net.layers[-1].bias[3] = 1.0
     x5 = derive_rng(11, 5).normal(size=5)
     sset = sample_posterior(det_net, x5, 16, master_seed=3)
@@ -606,7 +561,7 @@ def test_04_degeneracy_suite(cli_runs, tmp_path):
         and unc0.rot_trace == 0.0,
         "p=0 localize matches forward",
     )
-    sto_net = _pose_network(5, (10,), 0.4, 9)
+    sto_net = pose_network(5, (10,), 0.4, 9)
     sto_net.layers[-1].bias[3] = 1.0
     one = sample_posterior(sto_net, x5, 1, master_seed=8)
     masked = forward(sto_net, x5, draw_mask(sto_net, 8, 0))
@@ -713,7 +668,7 @@ def test_04_degeneracy_suite(cli_runs, tmp_path):
             generator_seed=gen_seed,
         )
         ds = generate_scene(spec, 30, 10, 6)
-        net = _pose_network(8, (16, 16), dropout_p, gen_seed)
+        net = pose_network(8, (16, 16), dropout_p, gen_seed)
         net.layers[-1].bias[3] = 1.0
         if dropout_p == 0.0:
             calibration = CalibrationModel(
@@ -723,11 +678,7 @@ def test_04_degeneracy_suite(cli_runs, tmp_path):
                 population_size=8,
             )
         else:
-            traces = []
-            for qi, ex in enumerate(ds.calib):
-                _, est = localize(net, ex.features, 8, derive_seed(77, qi))
-                traces.append((est.trans_trace, est.rot_trace))
-            calibration = calibrate(traces, sid)
+            calibration = run_calibration(net, ds, 8, 77)
         return ds, SceneModel(scene_id=sid, network=net, calibration=calibration)
 
     ds_a, model_a = tiny_scene_model("det-a", 301, 0.5)
@@ -858,7 +809,7 @@ def test_04_degeneracy_suite(cli_runs, tmp_path):
         )
         ov_train.append(Example(f"ov-{i}", ov_map(p, ov_rng.normal(size=2)), p))
     ov_ds = SceneDataset(ov_spec, ov_train, [], [ov_train[0]])
-    ov_net = _pose_network(8, (24,), 0.0, 3)
+    ov_net = pose_network(8, (24,), 0.0, 3)
     ov_cfg = TrainConfig(
         learning_rate=3e-3, batch_size=3, epochs=800, loss=LossConfig(beta=10.0), seed=3
     )
@@ -895,7 +846,7 @@ def test_04_degeneracy_suite(cli_runs, tmp_path):
     )
 
     # --- sweep, histogram, and timing contracts
-    sw_net = _pose_network(8, (16,), 0.4, 6)
+    sw_net = pose_network(8, (16,), 0.4, 6)
     sw_net.layers[-1].bias[3] = 1.0
     sw = run_sweep(sw_net, ov_ds, [4, 1, 4, 2], repetitions=1, seed=6)
     check(

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from bayesreloc.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli
-from bayesreloc.scenes import SceneSpec, generate_scene, save_dataset, save_scene_spec
+from bayesreloc.scenes import SceneSpec, generate_scene, load_dataset, save_dataset, save_scene_spec
 
 
 @pytest.fixture(scope="module")
@@ -115,14 +115,23 @@ class TestSmokePipeline:
         assert "p99" in out.read_text()
 
     def test_gen_from_spec_file(self, pipeline):
+        spec = SceneSpec(scene_id="beta", generator_seed=8, feature_dim=8)
         spec_path = pipeline["root"] / "beta.json"
-        save_scene_spec(spec_path, SceneSpec(scene_id="beta", generator_seed=8, feature_dim=8))
+        save_scene_spec(spec_path, spec)
         out = pipeline["root"] / "scene_beta"
         code = cli([
             "gen", "--spec", str(spec_path), "--train", "20", "--calib", "8",
             "--test", "5", "--out", str(out),
         ])
         assert code == EXIT_OK
+        assert load_dataset(out).spec == spec
+
+    def test_gen_seed_defaults_to_zero(self, pipeline, tmp_path):
+        assert load_dataset(pipeline["data"]).spec == SceneSpec("alpha", generator_seed=3)
+        out = tmp_path / "d"
+        argv = ["--scene-id", "g", "--train", "4", "--calib", "8", "--test", "2", "--out", str(out)]
+        assert cli(["gen", *argv]) == EXIT_OK
+        assert load_dataset(out).spec == SceneSpec("g", generator_seed=0)
 
     def test_detect_two_scenes(self, pipeline):
         root = pipeline["root"]
@@ -179,6 +188,17 @@ class TestUsageErrors:
         ])
         assert code == EXIT_USAGE
         assert "conflicts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "0"), ("--aliasing-period", "3.0")])
+    def test_gen_spec_fixes_flag(self, tmp_path, capsys, flag, value):
+        # the spec file fixes both; a flag that would be ignored is refused
+        spec_path = tmp_path / "scene.json"
+        save_scene_spec(spec_path, SceneSpec(scene_id="gamma", feature_dim=8))
+        code = cli(["gen", "--spec", str(spec_path), flag, value, "--out", str(tmp_path / "d")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and flag in err and "--spec" in err
+        assert not (tmp_path / "d").exists()
 
     def test_missing_required_flag(self, capsys):
         assert cli(["train", "--data", "somewhere"]) == EXIT_USAGE

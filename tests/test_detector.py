@@ -6,7 +6,6 @@ import pytest
 from bayesreloc.calibration import (
     CalibrationModel,
     GammaModel,
-    calibrate,
     detection_score,
     z_score,
 )
@@ -20,7 +19,8 @@ from bayesreloc.detector import (
 )
 from bayesreloc.geometry import LossConfig
 from bayesreloc.mc_posterior import localize
-from bayesreloc.regressor import LayerSpec, TrainConfig, build_network, train
+from bayesreloc.harness import run_calibration
+from bayesreloc.regressor import TrainConfig, pose_network, train
 from bayesreloc.scenes import SceneSpec, generate_scene
 from bayesreloc.seeding import derive_seed
 
@@ -35,12 +35,7 @@ def _calibration(scene_id, trans=(2.0, 1.0), rot=(2.0, 0.5)):
 
 
 def _toy_net(seed=3, p=0.5, input_width=6):
-    specs = [
-        LayerSpec(input_width, 12),
-        LayerSpec(12, 12, has_dropout=True),
-        LayerSpec(12, 7, has_dropout=True, activation="identity"),
-    ]
-    net = build_network(specs, p, seed=seed)
+    net = pose_network(input_width, (12, 12), p, seed=seed)
     net.layers[-1].bias[3] = 1.0
     return net
 
@@ -211,11 +206,6 @@ class TestConfusionMatrix:
 
 @pytest.fixture(scope="module")
 def models_and_tests():
-    specs = [
-        LayerSpec(8, 48),
-        LayerSpec(48, 48, has_dropout=True),
-        LayerSpec(48, 7, has_dropout=True, activation="identity"),
-    ]
     models = []
     test_sets = {}
     for scene_id, gen_seed, net_seed in (("alpha", 101, 21), ("beta", 202, 22)):
@@ -228,17 +218,12 @@ def models_and_tests():
         )
         ds = generate_scene(spec, n_train=400, n_calib=60, n_test=25)
         result = train(
-            build_network(specs, 0.5, seed=net_seed),
+            pose_network(8, (48, 48), 0.5, seed=net_seed),
             [(ex.features, ex.pose) for ex in ds.train],
             TrainConfig(learning_rate=1e-3, batch_size=32, epochs=250,
                         loss=LossConfig(10.0), seed=net_seed),
         )
-        pairs, positions = [], []
-        for qi, ex in enumerate(ds.calib):
-            _, est = localize(result.net, ex.features, 16, derive_seed(301, qi))
-            pairs.append((est.trans_trace, est.rot_trace))
-            positions.append(est.trans_mean)
-        cal = calibrate(pairs, scene_id, positions)
+        cal = run_calibration(result.net, ds, 16, 301)
         models.append(SceneModel(scene_id, result.net, cal))
         test_sets[scene_id] = [ex.features for ex in ds.test]
     return models, test_sets

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from bayesreloc.calibration import calibrate
+from bayesreloc import harness
+from bayesreloc.calibration import MIN_POPULATION, calibrate
 from bayesreloc.detector import SceneModel
-from bayesreloc.errors import ParseError, ShapeMismatch
+from bayesreloc.errors import InsufficientPopulation, ParseError, ShapeMismatch
 from bayesreloc.geometry import (
     Pose,
     UnitQuaternion,
@@ -19,9 +20,9 @@ from bayesreloc.geometry import (
     translation_error,
 )
 from bayesreloc.harness import (
-    EvalReport,
     QueryRecord,
     read_query_table,
+    run_calibration,
     run_eval,
     run_histogram,
     run_sweep,
@@ -31,8 +32,8 @@ from bayesreloc.harness import (
     write_summary,
     write_sweep,
 )
-from bayesreloc.mc_posterior import localize
-from bayesreloc.regressor import LayerSpec, build_network, forward
+from bayesreloc.mc_posterior import MAX_NUM_SAMPLES, localize
+from bayesreloc.regressor import forward, pose_network
 from bayesreloc.scenes import SceneSpec, generate_scene
 from bayesreloc.seeding import derive_seed
 from bayesreloc.stats import median_low, pearson, rankdata, spearman
@@ -54,19 +55,9 @@ def dataset():
 @pytest.fixture(scope="module")
 def model(dataset):
     # An untrained network is fine here; the harness never looks at accuracy.
-    specs = [
-        LayerSpec(8, 16),
-        LayerSpec(16, 16, has_dropout=True),
-        LayerSpec(16, 7, has_dropout=True, activation="identity"),
-    ]
-    net = build_network(specs, 0.5, seed=3)
+    net = pose_network(8, (16, 16), 0.5, seed=3)
     net.layers[-1].bias[3] = 1.0
-    traces = []
-    for qi, ex in enumerate(dataset.calib):
-        _, est = localize(net, ex.features, 8, derive_seed(77, qi))
-        traces.append((est.trans_trace, est.rot_trace))
-    cal = calibrate(traces, dataset.spec.scene_id)
-    return SceneModel(dataset.spec.scene_id, net, cal)
+    return SceneModel(dataset.spec.scene_id, net, run_calibration(net, dataset, 8, 77))
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +205,8 @@ class TestRunEval:
         bad = dataclasses.replace(dataset, spec=wide)
         with pytest.raises(ShapeMismatch):
             run_eval(model, bad, num_samples=4, seed=0)
+        with pytest.raises(ShapeMismatch, match="feature_dim 9 does not match"):
+            run_calibration(model.network, bad, 8, 77)
 
     def test_empty_test_split_raises(self, model, dataset):
         bad = dataclasses.replace(dataset, test=[])
@@ -227,7 +220,30 @@ class TestRunEval:
         assert rec.nn_feature_distance == 0.0
 
 
+class TestRunCalibration:
+    def test_matches_inline_loop(self, model, dataset):
+        # the model fixture was calibrated by run_calibration(net, dataset, 8, 77)
+        traces, positions = [], []
+        for qi, ex in enumerate(dataset.calib):
+            _, est = localize(model.network, ex.features, 8, derive_seed(77, qi))
+            traces.append((est.trans_trace, est.rot_trace))
+            positions.append(est.trans_mean)
+        assert model.calibration == calibrate(traces, dataset.spec.scene_id, positions)
+
+    def test_small_calib_split_raises(self, model, dataset):
+        small = dataclasses.replace(dataset, calib=dataset.calib[: MIN_POPULATION - 1])
+        with pytest.raises(InsufficientPopulation):
+            run_calibration(model.network, small, 8, 77)
+
+
 class TestRunSweep:
+    def test_count_above_maximum_rejected_before_any_pass(self, model, dataset, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "localize", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="sample counts"):
+            run_sweep(model, dataset, [1, MAX_NUM_SAMPLES + 1], repetitions=1, seed=6)
+        assert calls == []
+
     def test_maskless_row_always_included(self, model, dataset):
         sweep = run_sweep(model, dataset, [1, 4], repetitions=2, seed=6)
         counts = [r.num_samples for r in sweep.rows]

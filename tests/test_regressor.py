@@ -16,9 +16,7 @@ from bayesreloc.errors import (
 )
 from bayesreloc.geometry import LossConfig, Pose, UnitQuaternion, Vec3, normalize, pose_loss
 from bayesreloc.regressor import (
-    POSE_WIDTH,
     LayerSpec,
-    NetworkParams,
     TrainConfig,
     build_network,
     draw_mask,
@@ -27,6 +25,7 @@ from bayesreloc.regressor import (
     forward,
     load_checkpoint,
     loss_gradient,
+    pose_network,
     save_checkpoint,
     train,
 )
@@ -212,17 +211,41 @@ class TestBuildNetwork:
             assert np.all(layer.bias == 0.0)
 
 
+class TestPoseNetwork:
+    @pytest.mark.parametrize(
+        "hidden, specs",
+        [
+            ((), [LayerSpec(6, 7, has_dropout=True, activation="identity")]),
+            (
+                (16,),
+                [
+                    LayerSpec(6, 16, has_dropout=True),
+                    LayerSpec(16, 7, has_dropout=True, activation="identity"),
+                ],
+            ),
+            (
+                (16, 16),
+                [
+                    LayerSpec(6, 16),
+                    LayerSpec(16, 16, has_dropout=True),
+                    LayerSpec(16, 7, has_dropout=True, activation="identity"),
+                ],
+            ),
+        ],
+    )
+    def test_equals_hand_built_specs(self, hidden, specs):
+        net = pose_network(6, hidden, 0.4, seed=17)
+        ref = build_network(specs, 0.4, seed=17)
+        assert [layer.spec for layer in net.layers] == specs
+        assert (net.dropout_p, net.seed) == (ref.dropout_p, ref.seed)
+        for a, b in zip(net.layers, ref.layers):
+            np.testing.assert_array_equal(a.weights, b.weights)
+            np.testing.assert_array_equal(a.bias, b.bias)
+
+
 class TestDrawMask:
     def _net(self):
-        return build_network(
-            [
-                LayerSpec(8, 64),
-                LayerSpec(64, 64, has_dropout=True),
-                LayerSpec(64, 7, has_dropout=True, activation="identity"),
-            ],
-            0.5,
-            seed=1,
-        )
+        return pose_network(8, (64, 64), 0.5, seed=1)
 
     def test_reproducible_and_order_free(self):
         net = self._net()
@@ -326,9 +349,7 @@ class TestForward:
     def test_masked_pass_scales_kept_units(self):
         # single linear layer with dropout: masked pass equals the affine
         # map of the masked, rescaled input
-        net = build_network(
-            [LayerSpec(7, 7, has_dropout=True, activation="identity")], 0.5, seed=3
-        )
+        net = pose_network(7, (), 0.5, seed=3)
         rng = np.random.default_rng(1)
         x = rng.normal(size=7)
         mask = draw_mask(net, 11, 0)
@@ -377,9 +398,7 @@ class TestForward:
     def test_expectation_consistency(self):
         # inverted scaling makes the masked estimator unbiased on a linear
         # layer: the mean over many masks matches the maskless pass
-        net = build_network(
-            [LayerSpec(7, 7, has_dropout=True, activation="identity")], 0.5, seed=5
-        )
+        net = pose_network(7, (), 0.5, seed=5)
         rng = np.random.default_rng(3)
         x = rng.normal(size=7)
         n = 10_000
@@ -449,12 +468,7 @@ class TestLossGradient:
 
     def test_finite_difference_with_masks(self):
         rng = np.random.default_rng(18)
-        specs = [
-            LayerSpec(4, 10),
-            LayerSpec(10, 8, has_dropout=True),
-            LayerSpec(8, 7, has_dropout=True, activation="identity"),
-        ]
-        net = build_network(specs, 0.5, seed=200)
+        net = pose_network(4, (10, 8), 0.5, seed=200)
         batch = _random_batch(rng, 4, 3)
         masks = np.stack([draw_mask(net, 55, i) for i in range(3)])
         _fd_check(net, batch, masks, LossConfig(1.5))
@@ -606,15 +620,7 @@ class TestTrain:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        net = build_network(
-            [
-                LayerSpec(9, 20),
-                LayerSpec(20, 14, has_dropout=True),
-                LayerSpec(14, 7, has_dropout=True, activation="identity"),
-            ],
-            0.5,
-            seed=600,
-        )
+        net = pose_network(9, (20, 14), 0.5, seed=600)
         path = tmp_path / "net.json"
         save_checkpoint(path, net)
         again = load_checkpoint(path)

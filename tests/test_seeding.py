@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesreloc.regressor import LayerSpec, build_network, draw_mask, draw_masks
+from bayesreloc.regressor import draw_mask, draw_masks, pose_network
 from bayesreloc.scenes import (
     _SPLIT_TAGS,
     FeatureMap,
@@ -106,15 +106,7 @@ class TestPrecomputedSeedSequence:
 
 
 def _net():
-    return build_network(
-        [
-            LayerSpec(5, 9),
-            LayerSpec(9, 6, has_dropout=True),
-            LayerSpec(6, 7, has_dropout=True, activation="identity"),
-        ],
-        0.5,
-        seed=3,
-    )
+    return pose_network(5, (9, 6), 0.5, seed=3)
 
 
 class TestDrawMasksBlocks:
