@@ -30,14 +30,14 @@ gamma, so the two scores are equal bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ._files import field, numbers, read_json, write_json
 from .errors import (
     InsufficientPopulation,
     InsufficientVariance,
@@ -53,8 +53,6 @@ if TYPE_CHECKING:
 
 MIN_POPULATION = 8
 CALIBRATION_FORMAT = "bayesreloc-cal-v2"
-# Older files carry no pose trend and load with a zero one.
-_READABLE_FORMATS = ("bayesreloc-cal-v1", CALIBRATION_FORMAT)
 # (intercept, x, y, z) coefficients of log trace in the predicted position.
 _ZERO_TREND = (0.0, 0.0, 0.0, 0.0)
 # The trend's log scale is clipped to +-this, so a prediction far outside
@@ -302,68 +300,49 @@ def detection_score(model: CalibrationModel, estimate: "UncertaintyEstimate") ->
     return ZScore(trans_pct=t, rot_pct=r, combined=0.5 * (t + r))
 
 
-def _gamma_to_dict(g: GammaModel) -> dict:
-    return {
-        "shape": g.shape,
-        "scale": g.scale,
-        "log_likelihood": g.log_likelihood,
-        "iterations": g.iterations,
-    }
-
-
 def _gamma_from_dict(d: dict) -> GammaModel:
     return GammaModel(
-        shape=float(d["shape"]),
-        scale=float(d["scale"]),
-        log_likelihood=float(d.get("log_likelihood", math.nan)),
-        iterations=int(d.get("iterations", 0)),
+        shape=field(d, "shape", float),
+        scale=field(d, "scale", float),
+        log_likelihood=field(d, "log_likelihood", float),
+        iterations=field(d, "iterations", int),
     )
 
 
 def save_calibration(path: str | os.PathLike, model: CalibrationModel) -> None:
-    doc = {
+    write_json(path, {
         "format": CALIBRATION_FORMAT,
         "source_scene": model.source_scene,
         "population_size": model.population_size,
-        "trans": _gamma_to_dict(model.trans),
-        "rot": _gamma_to_dict(model.rot),
+        "trans": asdict(model.trans),
+        "rot": asdict(model.rot),
         "trans_ks": model.trans_ks,
         "rot_ks": model.rot_ks,
         "trans_trend": list(model.trans_trend),
         "rot_trend": list(model.rot_trend),
-        "trans_residual": _gamma_to_dict(model.trans_residual),
-        "rot_residual": _gamma_to_dict(model.rot_residual),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+        "trans_residual": asdict(model.trans_residual),
+        "rot_residual": asdict(model.rot_residual),
+    })
 
 
 def load_calibration(path: str | os.PathLike) -> CalibrationModel:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid calibration file: {e.msg}", line=e.lineno) from e
-    fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt not in _READABLE_FORMATS:
-        raise ParseError(f"unsupported calibration format {fmt!r}, expected {CALIBRATION_FORMAT!r}")
+    """Raises ParseError for invalid JSON, a format other than v2 (re-run
+    calibrate on a v1 file), a field missing or of the wrong type, a bad
+    gamma or trend; ValueError for a population below MIN_POPULATION."""
+    doc = read_json(path, CALIBRATION_FORMAT)
     try:
-        fields = dict(
-            trans=_gamma_from_dict(doc["trans"]),
-            rot=_gamma_from_dict(doc["rot"]),
-            source_scene=str(doc["source_scene"]),
-            population_size=int(doc["population_size"]),
-            trans_ks=float(doc.get("trans_ks", math.nan)),
-            rot_ks=float(doc.get("rot_ks", math.nan)),
-        )
-        if fmt == CALIBRATION_FORMAT:
-            fields.update(
-                trans_trend=tuple(float(c) for c in doc["trans_trend"]),
-                rot_trend=tuple(float(c) for c in doc["rot_trend"]),
-                trans_residual=_gamma_from_dict(doc["trans_residual"]),
-                rot_residual=_gamma_from_dict(doc["rot_residual"]),
-            )
-    except (KeyError, TypeError, ValueError) as e:
+        gammas = {
+            key: _gamma_from_dict(field(doc, key, dict))
+            for key in ("trans", "rot", "trans_residual", "rot_residual")
+        }
+    except ValueError as e:
         raise ParseError(f"invalid calibration file: {e}") from e
-    return CalibrationModel(**fields)
+    return CalibrationModel(
+        source_scene=field(doc, "source_scene", str),
+        population_size=field(doc, "population_size", int),
+        trans_ks=field(doc, "trans_ks", float),
+        rot_ks=field(doc, "rot_ks", float),
+        trans_trend=tuple(numbers(doc, "trans_trend", (4,)).tolist()),
+        rot_trend=tuple(numbers(doc, "rot_trend", (4,)).tolist()),
+        **gammas,
+    )

@@ -3,7 +3,6 @@ sweeps, cumulative error histograms, wall-clock timing, and report formats."""
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -11,6 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._files import table_rows, write_json
 from .calibration import CalibrationModel, calibrate, z_score
 from .detector import SceneModel
 from .errors import ParseError, ShapeMismatch
@@ -381,48 +381,34 @@ def write_query_table(path: str | os.PathLike, report: EvalReport) -> None:
 
 
 def read_query_table(path: str | os.PathLike) -> list[QueryRecord]:
+    """Raises ParseError, with the line, for bad header lines, a row without
+    one field per column, a value that is not a finite number, a non-unit
+    quaternion, a negative error, trace or distance, or a percentile
+    outside [0, 1]."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.readlines()
     if not lines or lines[0].strip() != f"# {EVAL_TABLE_FORMAT}":
         raise ParseError(f"expected header tag {EVAL_TABLE_FORMAT!r}", line=1)
-    if len(lines) < 2 or lines[1].split("\t")[0] != _TABLE_COLUMNS[0]:
-        raise ParseError("missing column header", line=2)
+    if len(lines) < 2 or tuple(lines[1].rstrip("\n").split("\t")) != _TABLE_COLUMNS:
+        raise ParseError("missing or altered column header", line=2)
     records = []
-    for lineno, raw in enumerate(lines[2:], start=3):
-        text = raw.rstrip("\n")
-        if not text:
-            continue
-        parts = text.split("\t")
-        if len(parts) != len(_TABLE_COLUMNS):
-            raise ParseError(
-                f"expected {len(_TABLE_COLUMNS)} columns, got {len(parts)}", line=lineno
-            )
-        # Unparsable numbers, non-finite positions and non-unit quaternions
-        # all name the offending line.
+    for lineno, query_id, v in table_rows(lines[2:], 3, len(_TABLE_COLUMNS), "\t"):
+        if min(v[14:18] + v[21:]) < 0.0:
+            raise ParseError("negative error, trace or distance", line=lineno)
+        if not all(0.0 <= z <= 1.0 for z in v[18:21]):
+            raise ParseError("percentile outside [0, 1]", line=lineno)
         try:
-            v = [float(p) for p in parts[1:]]
-            record = QueryRecord(
-                query_id=parts[0],
-                true_pose=Pose(Vec3(*v[0:3]), UnitQuaternion.from_array(v[3:7])),
-                est_pose=Pose(Vec3(*v[7:10]), UnitQuaternion.from_array(v[10:14])),
-                trans_error=v[14],
-                rot_error_deg=v[15],
-                trans_trace=v[16],
-                rot_trace=v[17],
-                z_trans=v[18],
-                z_rot=v[19],
-                z_combined=v[20],
-                nn_feature_distance=v[21],
-            )
+            true_pose = Pose(Vec3(*v[0:3]), UnitQuaternion.from_array(v[3:7]))
+            est_pose = Pose(Vec3(*v[7:10]), UnitQuaternion.from_array(v[10:14]))
         except ValueError as e:
             raise ParseError(str(e), line=lineno) from e
-        records.append(record)
+        records.append(QueryRecord(query_id, true_pose, est_pose, *v[14:]))
     return records
 
 
 def write_summary(path: str | os.PathLike, report: EvalReport) -> None:
     s = report.summary
-    doc = {
+    write_json(path, {
         "format": SUMMARY_FORMAT,
         "median_trans_error_m": s.median_trans_error,
         "median_rot_error_deg": s.median_rot_error_deg,
@@ -431,10 +417,7 @@ def write_summary(path: str | os.PathLike, report: EvalReport) -> None:
         "num_samples": s.num_samples,
         "seed": s.seed,
         "query_count": s.query_count,
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    })
 
 
 def write_sweep(path: str | os.PathLike, sweep: SweepReport) -> None:

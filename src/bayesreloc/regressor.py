@@ -19,11 +19,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
+from ._files import field, numbers, read_json
 from .errors import (
     DegenerateQuaternion,
     InvalidArchitecture,
@@ -407,31 +408,18 @@ def train(net: NetworkParams, dataset: Sequence[TrainExample], config: TrainConf
 
 
 def _layer_to_dict(layer: Layer) -> dict:
-    return {
-        "input_width": layer.spec.input_width,
-        "output_width": layer.spec.output_width,
-        "has_dropout": layer.spec.has_dropout,
-        "activation": layer.spec.activation,
-        "weights": layer.weights.tolist(),
-        "bias": layer.bias.tolist(),
-    }
+    return {**asdict(layer.spec), "weights": layer.weights.tolist(), "bias": layer.bias.tolist()}
 
 
 def _layer_from_dict(d: dict) -> Layer:
     spec = LayerSpec(
-        input_width=int(d["input_width"]),
-        output_width=int(d["output_width"]),
-        has_dropout=bool(d["has_dropout"]),
-        activation=str(d["activation"]),
+        input_width=field(d, "input_width", int),
+        output_width=field(d, "output_width", int),
+        has_dropout=field(d, "has_dropout", bool),
+        activation=field(d, "activation", str),
     )
-    weights = np.asarray(d["weights"], dtype=float)
-    bias = np.asarray(d["bias"], dtype=float)
-    if weights.shape != (spec.output_width, spec.input_width) or bias.shape != (spec.output_width,):
-        raise ParseError(
-            f"stored parameter shapes {weights.shape}/{bias.shape} do not match "
-            f"layer {spec.input_width}x{spec.output_width}"
-        )
-    return Layer(spec, weights, bias)
+    weights = numbers(d, "weights", (spec.output_width, spec.input_width))
+    return Layer(spec, weights, numbers(d, "bias", (spec.output_width,)))
 
 
 def _write_json(f, obj) -> None:
@@ -470,23 +458,17 @@ def save_checkpoint(path: str | os.PathLike, net: NetworkParams) -> None:
 
 
 def load_checkpoint(path: str | os.PathLike) -> NetworkParams:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid checkpoint file: {e.msg}", line=e.lineno) from e
-    fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt != CHECKPOINT_FORMAT:
-        raise ParseError(f"unsupported checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT!r}")
+    """Raises ParseError for invalid JSON, a wrong format tag, an auxiliary
+    head, a field missing or of the wrong type, non-finite or misshapen
+    parameters, or layers and a dropout rate that form no valid network."""
+    doc = read_json(path, CHECKPOINT_FORMAT)
     # Earlier files end in "aux": null, which loads; an auxiliary head does not.
     if doc.get("aux") is not None:
         raise ParseError('unsupported checkpoint field "aux": auxiliary heads are not supported')
     try:
-        layers = [_layer_from_dict(d) for d in doc["layers"]]
-        net = NetworkParams(layers, float(doc["dropout_p"]), int(doc["seed"]))
+        layers = [_layer_from_dict(d) for d in field(doc, "layers", list)]
+        net = NetworkParams(layers, field(doc, "dropout_p", float), field(doc, "seed", int))
         _check_architecture([layer.spec for layer in layers], net.dropout_p)
-    except (InvalidArchitecture, KeyError, TypeError, ValueError) as e:
+    except (InvalidArchitecture, ValueError) as e:
         raise ParseError(f"invalid checkpoint: {e}") from e
-    if not all(np.isfinite(a).all() for a in _param_arrays(net)):
-        raise ParseError("checkpoint holds non-finite parameters")
     return net

@@ -8,14 +8,15 @@ the localization task; different generator seeds give visually unrelated
 
 from __future__ import annotations
 
-import json
 import math
 import os
+import re
 from dataclasses import dataclass, asdict
 from typing import Sequence
 
 import numpy as np
 
+from ._files import field, numbers, read_json, table_rows, write_json
 from .errors import DegenerateQuaternion, InvalidSpec, ParseError, ShapeMismatch
 from .geometry import Pose, Vec3, normalize
 from .seeding import derive_rng, derive_rngs
@@ -70,8 +71,9 @@ class SceneSpec:
     pitch_roll_std_deg: float = 3.0
 
     def __post_init__(self):
-        if not self.scene_id or any(ch.isspace() for ch in self.scene_id):
-            raise InvalidSpec(f"scene_id must be non-empty without whitespace, got {self.scene_id!r}")
+        # A '#' would start a comment in the dataset files.
+        if not self.scene_id or any(ch.isspace() or ch == "#" for ch in self.scene_id):
+            raise InvalidSpec(f"scene_id must be non-empty without whitespace or '#', got {self.scene_id!r}")
         if len(self.extent) != 3:
             raise InvalidSpec(f"extent needs 3 (lo, hi) ranges, got {len(self.extent)}")
         for axis, (lo, hi) in zip("xyz", self.extent):
@@ -265,39 +267,20 @@ def save_examples(path: str | os.PathLike, examples: Sequence[Example], feature_
 def load_examples(path: str | os.PathLike) -> tuple[int, list[Example]]:
     """Parse one split file; returns (feature_dim, examples).
 
-    Raises ParseError with a line number on malformed rows, and
-    DegenerateQuaternion (also carrying the line number) on rows whose
-    quaternion cannot be normalized.
+    ``#`` starts a comment.  Raises ParseError, with the line, for a bad
+    header, a row without 8 + D fields or a value that is not a finite
+    number; DegenerateQuaternion, with the line, for a zero quaternion.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = f.readlines()
-    if not lines:
-        raise ParseError("empty dataset file", line=1)
-    head = lines[0].split("#", 1)[0].split()
-    if len(head) != 2 or head[0] != DATA_FORMAT or not head[1].startswith("feature_dim="):
-        raise ParseError(f"expected header {DATA_FORMAT!r} feature_dim=<D>", line=1)
-    try:
-        feature_dim = int(head[1].split("=", 1)[1])
-    except ValueError as e:
-        raise ParseError(f"bad feature_dim: {e}", line=1) from e
-    if feature_dim < 1:
-        raise ParseError(f"feature_dim must be >= 1, got {feature_dim}", line=1)
-
+    head = " ".join(lines[0].split("#", 1)[0].split()) if lines else ""
+    match = re.fullmatch(f"{DATA_FORMAT} feature_dim=([1-9][0-9]*)", head)
+    if match is None:
+        raise ParseError(f"expected header '{DATA_FORMAT} feature_dim=<D>', D >= 1", line=1)
+    feature_dim = int(match.group(1))
     examples = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
-        if len(parts) != 8 + feature_dim:
-            raise ParseError(f"expected {8 + feature_dim} fields, got {len(parts)}", line=lineno)
-        query_id = parts[0]
-        try:
-            values = [float(v) for v in parts[1:]]
-        except ValueError as e:
-            raise ParseError(str(e), line=lineno) from e
-        if not all(math.isfinite(v) for v in values):
-            raise ParseError("non-finite value", line=lineno)
+    texts = (raw.split("#", 1)[0] for raw in lines[1:])
+    for lineno, query_id, values in table_rows(texts, 2, 8 + feature_dim):
         try:
             orientation = normalize(values[3:7])
         except DegenerateQuaternion as e:
@@ -308,36 +291,29 @@ def load_examples(path: str | os.PathLike) -> tuple[int, list[Example]]:
 
 
 def save_scene_spec(path: str | os.PathLike, spec: SceneSpec) -> None:
-    doc = {"format": SCENE_FORMAT, **asdict(spec)}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    write_json(path, {"format": SCENE_FORMAT, **asdict(spec)})
 
 
 def load_scene_spec(path: str | os.PathLike) -> SceneSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid scene spec: {e.msg}", line=e.lineno) from e
-    fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt != SCENE_FORMAT:
-        raise ParseError(f"unsupported scene format {fmt!r}, expected {SCENE_FORMAT!r}")
-    try:
-        period = doc.get("aliasing_period")
-        return SceneSpec(
-            scene_id=str(doc["scene_id"]),
-            extent=tuple(tuple(float(v) for v in r) for r in doc["extent"]),
-            feature_dim=int(doc["feature_dim"]),
-            nuisance_dim=int(doc["nuisance_dim"]),
-            noise_sigma=float(doc["noise_sigma"]),
-            aliasing_period=None if period is None else float(period),
-            generator_seed=int(doc["generator_seed"]),
-            yaw_range_deg=tuple(float(v) for v in doc.get("yaw_range_deg", (-90.0, 90.0))),
-            pitch_roll_std_deg=float(doc.get("pitch_roll_std_deg", 3.0)),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"invalid scene spec: {e}") from e
+    """Raises ParseError for invalid JSON, a wrong format tag, or a field
+    missing or of the wrong type; InvalidSpec for a value SceneSpec rejects."""
+    doc = read_json(path, SCENE_FORMAT)
+    extent = numbers(doc, "extent")
+    if extent.ndim != 2 or extent.shape[1] != 2:
+        raise ParseError("field 'extent' must be a list of (lo, hi) ranges")
+    yaw = numbers(doc, "yaw_range_deg", (2,), list(SceneSpec.yaw_range_deg))
+    period = doc.get("aliasing_period")
+    return SceneSpec(
+        scene_id=field(doc, "scene_id", str),
+        extent=tuple(map(tuple, extent.tolist())),
+        feature_dim=field(doc, "feature_dim", int),
+        nuisance_dim=field(doc, "nuisance_dim", int),
+        noise_sigma=field(doc, "noise_sigma", float),
+        aliasing_period=None if period is None else field(doc, "aliasing_period", float),
+        generator_seed=field(doc, "generator_seed", int),
+        yaw_range_deg=tuple(yaw.tolist()),
+        pitch_roll_std_deg=field(doc, "pitch_roll_std_deg", float, SceneSpec.pitch_roll_std_deg),
+    )
 
 
 def save_dataset(dirpath: str | os.PathLike, dataset: SceneDataset) -> None:

@@ -392,7 +392,8 @@ class TestCalibrationFile:
         assert again == model
         assert all(type(c) is float for c in again.trans_trend + again.rot_trend)
 
-    def test_reads_v1_file_with_zero_trend(self, tmp_path):
+    def test_rejects_v1_file(self, tmp_path):
+        # v1 files (no pose trend) are no longer read; re-running calibrate replaces them
         path = tmp_path / "cal.json"
         path.write_text(json.dumps({
             "format": "bayesreloc-cal-v1",
@@ -403,13 +404,8 @@ class TestCalibrationFile:
             "trans_ks": 0.04,
             "rot_ks": 0.05,
         }))
-        model = load_calibration(path)
-        assert model.trans == GammaModel(2.5, 3.0, -400.0, 4)
-        assert model.trans_trend == model.rot_trend == (0.0, 0.0, 0.0, 0.0)
-        assert model.trans_residual == model.trans
-        assert model.rot_residual == model.rot
-        est = _estimate(7.0, 0.03, (40.0, 10.0, 1.0))
-        assert detection_score(model, est) == z_score(model, est)
+        with pytest.raises(ParseError, match="'bayesreloc-cal-v1'"):
+            load_calibration(path)
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "cal.json"

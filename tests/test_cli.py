@@ -271,6 +271,14 @@ class TestUsageErrors:
         assert "usage error" in err and flag in err and reason in err
         assert not list(tmp_path.iterdir())
 
+    def test_gen_rejects_hash_in_scene_id(self, tmp_path, capsys):
+        # '#' starts a comment in the dataset files, so train could not read them back
+        argv = ["--scene-id", "a#b", "--train", "40", "--calib", "10", "--test", "12"]
+        assert cli(["gen", *argv, "--out", str(tmp_path / "d")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--scene-id" in err and "'#'" in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "flag", ["--epochs", "--batch", "--lr", "--dropout", "--momentum", "--beta", "--hidden"]
     )

@@ -413,6 +413,17 @@ class TestQueryTableFiles:
             read_query_table(path)
         assert e.value.line == 2
 
+    def test_reordered_column_header_reports_line_two(self, report, tmp_path):
+        # the rows are read by position, so a header naming other columns is refused
+        path = tmp_path / "q.tsv"
+        write_query_table(path, report)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace("trans_error_m\trot_error_deg", "rot_error_deg\ttrans_error_m")
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError) as e:
+            read_query_table(path)
+        assert e.value.line == 2
+
     def test_wrong_column_count_reports_line(self, report, tmp_path):
         path = tmp_path / "q.tsv"
         write_query_table(path, report)
@@ -437,7 +448,7 @@ class TestQueryTableFiles:
 
     @pytest.mark.parametrize(
         "column, value, message",
-        [(1, "nan", "non-finite position"), (4, "2.0", "quaternion norm")],
+        [(1, "nan", "non-finite value"), (4, "2.0", "quaternion norm")],
         ids=["nan_position", "non_unit_quaternion"],
     )
     def test_bad_pose_reports_line(self, report, tmp_path, column, value, message):
@@ -448,6 +459,33 @@ class TestQueryTableFiles:
         parts = lines[3].split("\t")
         parts[column] = value
         lines[3] = "\t".join(parts)
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError, match=message) as e:
+            read_query_table(path)
+        assert e.value.line == 4
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("trans_error_m", "nan", "non-finite"),
+            ("rot_error_deg", "-5.0", "negative"),
+            ("trans_trace", "inf", "non-finite"),
+            ("rot_trace", "-0.1", "negative"),
+            ("nn_feature_distance", "-1.0", "negative"),
+            ("z_trans", "7.0", "percentile"),
+            ("z_combined", "-0.5", "percentile"),
+        ],
+        ids=["nan_error", "negative_error", "inf_trace", "negative_trace",
+             "negative_distance", "percentile_above_one", "percentile_below_zero"],
+    )
+    def test_garbage_value_reports_line(self, report, tmp_path, column, value, message):
+        # Each value is well-formed text but no eval could have written it.
+        path = tmp_path / "q.tsv"
+        write_query_table(path, report)
+        lines = path.read_text().splitlines(keepends=True)
+        parts = lines[3].rstrip("\n").split("\t")
+        parts[lines[1].rstrip("\n").split("\t").index(column)] = value
+        lines[3] = "\t".join(parts) + "\n"
         path.write_text("".join(lines))
         with pytest.raises(ParseError, match=message) as e:
             read_query_table(path)

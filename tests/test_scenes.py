@@ -53,6 +53,11 @@ class TestSceneSpecValidation:
         with pytest.raises(InvalidSpec):
             SceneSpec(scene_id="has space")
 
+    def test_rejects_hash_in_id(self):
+        # '#' starts a comment in a dataset file, so such an id would not load back
+        with pytest.raises(InvalidSpec, match="'#'"):
+            SceneSpec(scene_id="a#b")
+
     def test_rejects_empty_extent(self):
         with pytest.raises(InvalidSpec):
             _small_spec(extent=((0.0, 0.0), (0.0, 5.0), (0.0, 2.0)))
