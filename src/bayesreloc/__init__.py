@@ -74,6 +74,7 @@ from .mc_posterior import (
     estimate,
     estimate_determinant,
     localize,
+    localize_batch,
     sample_posterior,
 )
 from .regressor import (

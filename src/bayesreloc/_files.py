@@ -1,9 +1,11 @@
 """How the package's files are framed, and how their faults are reported:
-as ParseError, with the line of a bad table row or JSON syntax error, or
-naming the JSON field that is missing or of the wrong type."""
+as ParseError, with the line of a byte that is not UTF-8, a bad table row
+or a JSON syntax error, or naming the JSON field that is missing or of
+the wrong type."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -15,9 +17,30 @@ from .errors import ParseError
 _REQUIRED = object()
 
 
+@contextlib.contextmanager
+def open_text(path: str | os.PathLike):
+    """``open(path, encoding="utf-8")`` for reading, except that a byte
+    that is not UTF-8 raises ParseError with its line: the count of
+    newline bytes before it, plus 1."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            yield f
+    except UnicodeDecodeError:
+        # The decoder's position counts from the chunk it was reading, so
+        # find the byte in the whole file.
+        with open(path, "rb") as f:
+            data = f.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = data.count(b"\n", 0, e.start) + 1
+            raise ParseError(f"not UTF-8: byte {data[e.start]:#04x} ({e.reason})", line=line) from e
+        raise
+
+
 def read_json(path: str | os.PathLike, fmt: str) -> dict:
     """The JSON object in a file, checked to carry ``"format": fmt``."""
-    with open(path, "r", encoding="utf-8") as f:
+    with open_text(path) as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as e:

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .calibration import CalibrationModel, ZScore, detection_score
-from .mc_posterior import DEFAULT_NUM_SAMPLES, localize
+from .mc_posterior import DEFAULT_NUM_SAMPLES, _localize_stream, localize
 from .regressor import NetworkParams
 from .seeding import derive_seed
 
@@ -76,22 +76,32 @@ def detect(
     Each model's Monte Carlo seed derives from (master_seed, scene_id), so
     reordering the model list permutes scores without changing them.
     """
+    _check_models(models)
+    scores = []
+    for model in models:
+        _, est = localize(model.network, x, num_samples, _model_seed(master_seed, model))
+        scores.append((model.scene_id, detection_score(model.calibration, est)))
+    return _decide(scores)
+
+
+def _check_models(models: Sequence[SceneModel]) -> None:
     if len(models) < 2:
         raise ValueError(f"need at least 2 scene models, got {len(models)}")
     ids = [m.scene_id for m in models]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate scene ids in model list: {ids}")
 
-    scores = []
-    for model in models:
-        seed = derive_seed(master_seed, _scene_tag(model.scene_id))
-        _, est = localize(model.network, x, num_samples, seed)
-        scores.append((model.scene_id, detection_score(model.calibration, est)))
 
+def _model_seed(master_seed: int, model: SceneModel) -> int:
+    return derive_seed(master_seed, _scene_tag(model.scene_id))
+
+
+def _decide(scores: list[tuple[str, ZScore]]) -> DetectionResult:
+    """The lowest combined percentile wins; the earliest on a tie."""
     values = [s.combined for _, s in scores]
     best = min(range(len(values)), key=lambda i: values[i])
     tie = any(i != best and values[i] == values[best] for i in range(len(values)))
-    return DetectionResult(scene_id=ids[best], scores=scores, tie=tie)
+    return DetectionResult(scene_id=scores[best][0], scores=scores, tie=tie)
 
 
 @dataclass(frozen=True)
@@ -124,7 +134,9 @@ def confusion(
     """Classify every query of every scene; rows index the true scene.
 
     ``test_sets`` maps scene_id to that scene's query feature vectors.
-    Every scene appearing there must have a model.
+    Every scene appearing there must have a model.  Each query's result is
+    the one :func:`detect` gives with master seed (seed, scene_id, query
+    index); every model localizes all queries as one batch.
     """
     ids = [m.scene_id for m in models]
     index = {sid: i for i, sid in enumerate(ids)}
@@ -133,15 +145,29 @@ def confusion(
             raise ValueError(f"no model for scene {sid!r}")
 
     counts = np.zeros((len(ids), len(ids)), dtype=int)
-    for sid, queries in test_sets.items():
-        for qi, x in enumerate(queries):
-            if len(models) == 1:
-                # A lone candidate matches every query; there is nothing
-                # to score against.
-                counts[0, 0] += 1
-                continue
-            result = detect(models, x, num_samples, derive_seed(seed, _scene_tag(sid), qi))
-            counts[index[sid], index[result.scene_id]] += 1
+    queries = [
+        (index[sid], derive_seed(seed, _scene_tag(sid), qi), x)
+        for sid, xs in test_sets.items()
+        for qi, x in enumerate(xs)
+    ]
+    if len(models) == 1:
+        # A lone candidate matches every query; there is nothing to score against.
+        counts[0, 0] = len(queries)
+    elif queries:
+        _check_models(models)
+        truth, masters, X = zip(*queries)
+        # The streams are read query by query, model by model, so an error
+        # surfaces where detect would raise it.
+        streams = [
+            _localize_stream(m.network, X, [_model_seed(s, m) for s in masters], num_samples)
+            for m in models
+        ]
+        for t in truth:
+            scores = [
+                (m.scene_id, detection_score(m.calibration, next(stream)[1]))
+                for m, stream in zip(models, streams)
+            ]
+            counts[t, index[_decide(scores).scene_id]] += 1
     return ConfusionMatrix(ids, counts)
 
 

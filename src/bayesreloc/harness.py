@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import table_rows, write_json
+from ._files import open_text, table_rows, write_json
 from .calibration import CalibrationModel, calibrate, z_score
 from .detector import SceneModel
 from .errors import ParseError, ShapeMismatch
@@ -22,7 +22,7 @@ from .geometry import (
     rotation_error_deg,
     translation_error,
 )
-from .mc_posterior import DEFAULT_NUM_SAMPLES, MAX_NUM_SAMPLES, localize
+from .mc_posterior import DEFAULT_NUM_SAMPLES, MAX_NUM_SAMPLES, localize, localize_batch
 from .regressor import NetworkParams, forward
 from .scenes import SceneDataset, nearest_neighbour_pose
 from .seeding import derive_seed
@@ -144,12 +144,15 @@ def run_calibration(
     the pose trend that :func:`detection_score` uses.
     """
     _check_feature_dim(net, dataset)
-    traces, positions = [], []
-    for qi, ex in enumerate(dataset.calib):
-        _, est = localize(net, ex.features, num_samples, derive_seed(seed, qi))
-        traces.append((est.trans_trace, est.rot_trace))
-        positions.append(est.trans_mean)
-    return calibrate(traces, dataset.spec.scene_id, positions)
+    ests = [est for _, est in _localize_split(net, dataset.calib, num_samples, seed)]
+    traces = [(est.trans_trace, est.rot_trace) for est in ests]
+    return calibrate(traces, dataset.spec.scene_id, [est.trans_mean for est in ests])
+
+
+def _localize_split(net: NetworkParams, examples, num_samples: int, seed: int):
+    """:func:`localize_batch` over a split, query qi seeded ``derive_seed(seed, qi)``."""
+    seeds = [derive_seed(seed, qi) for qi in range(len(examples))]
+    return localize_batch(net, [ex.features for ex in examples], seeds, num_samples)
 
 
 def run_eval(
@@ -175,8 +178,7 @@ def run_eval(
 
     train_emb = np.stack([ex.features for ex in dataset.train])
     records = []
-    for qi, ex in enumerate(dataset.test):
-        pose, est = localize(net, ex.features, num_samples, derive_seed(seed, qi))
+    for ex, (pose, est) in zip(dataset.test, _localize_split(net, dataset.test, num_samples, seed)):
         score = z_score(model.calibration, est)
         _, nn_dist = nearest_neighbour_pose(dataset.train, ex.features, train_emb)
         records.append(
@@ -231,13 +233,13 @@ def _split_medians(
     net: NetworkParams, dataset: SceneDataset, num_samples: int, seed: int
 ) -> tuple[float, float]:
     """Lower-median errors over the test split at one sample count."""
+    if num_samples == 0:
+        poses = [_maskless_pose(net, ex.features) for ex in dataset.test]
+    else:
+        poses = [pose for pose, _ in _localize_split(net, dataset.test, num_samples, seed)]
     trans_err = []
     rot_err = []
-    for qi, ex in enumerate(dataset.test):
-        if num_samples == 0:
-            pose = _maskless_pose(net, ex.features)
-        else:
-            pose, _ = localize(net, ex.features, num_samples, derive_seed(seed, qi))
+    for ex, pose in zip(dataset.test, poses):
         trans_err.append(translation_error(pose.position, ex.pose.position))
         rot_err.append(rotation_error_deg(pose.orientation, ex.pose.orientation))
     return median_low(trans_err), median_low(rot_err)
@@ -385,7 +387,7 @@ def read_query_table(path: str | os.PathLike) -> list[QueryRecord]:
     one field per column, a value that is not a finite number, a non-unit
     quaternion, a negative error, trace or distance, or a percentile
     outside [0, 1]."""
-    with open(path, "r", encoding="utf-8") as f:
+    with open_text(path) as f:
         lines = f.readlines()
     if not lines or lines[0].strip() != f"# {EVAL_TABLE_FORMAT}":
         raise ParseError(f"expected header tag {EVAL_TABLE_FORMAT!r}", line=1)

@@ -8,10 +8,11 @@ Masks are pure functions of (master_seed, sample_index); training and
 Monte Carlo sampling are therefore exactly reproducible.
 A mask is one float row per pass: the keep/drop vectors of the dropout
 layers end to end, in layer order.  ``draw_mask`` is the reference
-derivation of one row and serves Monte Carlo sampling, which draws one
-pass at a time; ``draw_masks`` hashes a training batch's seeds together
-and gives the same rows as one block.  One layer loop serves every pass,
-and ``train`` stacks the dataset into arrays once.
+derivation of one row, drawn once per pass by one-query Monte Carlo
+sampling; ``draw_masks`` hashes a training batch's seeds together and
+gives the same rows as one block, and batched Monte Carlo sampling
+draws the rows of a block of queries the same way.  One layer loop
+serves every pass, and ``train`` stacks the dataset into arrays once.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .geometry import NORM_FLOOR, LossConfig, Pose
-from .seeding import derive_rng, derive_rngs
+from .seeding import derive_rng, derive_rng_grid, derive_rngs
 
 POSE_WIDTH = 7
 CHECKPOINT_FORMAT = "bayesreloc-net-v1"
@@ -198,6 +199,14 @@ def _split_masks(net: NetworkParams, block: np.ndarray) -> list[np.ndarray]:
     return vectors
 
 
+def _mask_block(net: NetworkParams, rngs, count: int) -> np.ndarray:
+    """Keep/drop rows from the first ``count`` generators, one row each."""
+    block = np.empty((count, sum(_mask_widths(net))))
+    for row, rng in zip(block, rngs):
+        rng.random(out=row)
+    return np.greater_equal(block, net.dropout_p, out=block)
+
+
 def draw_masks(net: NetworkParams, master_seed: int, start: int, count: int) -> np.ndarray:
     """Keep/drop patterns of passes start, ..., start + count - 1 as one block.
 
@@ -206,10 +215,7 @@ def draw_masks(net: NetworkParams, master_seed: int, start: int, count: int) -> 
     block's streams come from :func:`derive_rngs`, which hashes their
     seeds together: training draws one block per batch.
     """
-    block = np.empty((count, sum(_mask_widths(net))))
-    for row, rng in zip(block, derive_rngs((master_seed,), start, count)):
-        rng.random(out=row)
-    return (block >= net.dropout_p).astype(float)
+    return _mask_block(net, derive_rngs((master_seed,), start, count), count)
 
 
 def draw_mask(net: NetworkParams, master_seed: int, sample_index: int) -> np.ndarray:
@@ -219,8 +225,9 @@ def draw_mask(net: NetworkParams, master_seed: int, sample_index: int) -> np.nda
     A pure function of (master_seed, sample_index): the same pair always
     yields the same mask regardless of how calls are ordered or batched.
     This is the reference derivation, one ``derive_rng`` stream per pass.
-    Monte Carlo sampling draws one pass at a time through it, because the
-    block hash of :func:`draw_masks` costs several single draws up front.
+    One-query sampling (``localize``) draws each pass through it, because
+    a block hash costs several single draws up front; batched sampling
+    draws the same rows a block of queries at a time.
     """
     row = derive_rng(master_seed, sample_index).random(sum(_mask_widths(net)))
     return (row >= net.dropout_p).astype(float)
@@ -270,6 +277,37 @@ def forward(net: NetworkParams, x, mask: np.ndarray | None = None) -> np.ndarray
     a = _check_input(net, x)
     masks = None if mask is None else _split_masks(net, _check_masks(net, mask))
     return _propagate(net, a, net.layers, masks)
+
+
+def _first_dropout(net: NetworkParams) -> int:
+    return next((i for i, layer in enumerate(net.layers) if layer.spec.has_dropout), len(net.layers))
+
+
+def _trunk(net: NetworkParams, x) -> np.ndarray:
+    """The maskless activation entering the first dropout layer (the
+    output, if there is none): every stochastic pass of ``x`` shares it."""
+    return _propagate(net, _check_input(net, x), net.layers[: _first_dropout(net)], None)
+
+
+def _stochastic_passes(
+    net: NetworkParams, trunks: np.ndarray, master_seeds: Sequence[int], count: int
+) -> np.ndarray:
+    """Outputs of passes 0, ..., count - 1 of each query, query-major, as
+    (len(trunks) * count, POSE_WIDTH) rows.
+
+    Query q enters as its :func:`_trunk` row and pass i takes the mask
+    :func:`draw_mask` (master_seeds[q], i), whose seeds are hashed
+    together by :func:`derive_rng_grid`.  Each row equals its
+    :func:`forward` pass bit for bit: the passes cross the dropout layers
+    as a (queries, count, 1, width) stack, for which matmul makes the
+    one-row pass's gemv call per pass, where a 2-D block would take gemm.
+    """
+    a = trunks[:, None, None, :]
+    head = net.layers[_first_dropout(net) :]
+    if head:
+        masks = _mask_block(net, derive_rng_grid(master_seeds, count), len(trunks) * count)
+        a = _propagate(net, a, head, _split_masks(net, masks.reshape(len(trunks), count, 1, -1)))
+    return np.broadcast_to(a, (len(trunks), count, 1, POSE_WIDTH)).reshape(-1, POSE_WIDTH)
 
 
 def feature_embedding(net: NetworkParams, x) -> np.ndarray:

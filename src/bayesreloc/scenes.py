@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import field, numbers, read_json, table_rows, write_json
+from ._files import field, numbers, open_text, read_json, table_rows, write_json
 from .errors import DegenerateQuaternion, InvalidSpec, ParseError, ShapeMismatch
 from .geometry import Pose, Vec3, normalize
 from .seeding import derive_rng, derive_rngs
@@ -271,7 +271,7 @@ def load_examples(path: str | os.PathLike) -> tuple[int, list[Example]]:
     header, a row without 8 + D fields or a value that is not a finite
     number; DegenerateQuaternion, with the line, for a zero quaternion.
     """
-    with open(path, "r", encoding="utf-8") as f:
+    with open_text(path) as f:
         lines = f.readlines()
     head = " ".join(lines[0].split("#", 1)[0].split()) if lines else ""
     match = re.fullmatch(f"{DATA_FORMAT} feature_dim=([1-9][0-9]*)", head)

@@ -7,12 +7,16 @@ the work is fanned out.
 
 ``derive_rng`` is the reference: numpy's ``SeedSequence`` of the path
 seeds a ``PCG64``.  ``derive_rngs`` yields the same generators for a run
-of consecutive last indices.  Most of ``derive_rng``'s cost is the
-``SeedSequence`` hash, which is 32-bit arithmetic, so ``derive_rngs``
-runs it for up to 1024 indices at once as numpy array operations and
-hands each row's state to ``PCG64`` through ``ISeedSequence``.  The block hash has a
-fixed cost of several ``derive_rng`` calls, so single draws (Monte Carlo
-sampling takes one pass at a time) stay on ``derive_rng``.
+of consecutive last indices, and ``derive_rng_grid`` for the paths
+(m, i) of several master seeds m and i below a count.  Most of
+``derive_rng``'s cost is the ``SeedSequence`` hash, which is 32-bit
+arithmetic, so both run it for many paths at once as numpy array
+operations and hand each row's state to ``PCG64`` through
+``ISeedSequence``.  Training batches and scene splits draw through
+``derive_rngs``, and batched Monte Carlo sampling (a block of queries'
+masks) through ``derive_rng_grid``.  The block hash has a fixed cost of
+several ``derive_rng`` calls, so single draws, such as the one mask per
+pass of one-query ``localize``, stay on ``derive_rng``.
 """
 
 from __future__ import annotations
@@ -174,3 +178,26 @@ def derive_rngs(prefix: Sequence[int], start: int, count: int) -> Iterator[np.ra
             entropy[len(head) + 1] = index >> np.uint64(32)
         for seed in _pcg64_seeds(entropy):
             yield np.random.Generator(np.random.PCG64(_PoolState(seed)))
+
+
+def derive_rng_grid(masters: Sequence[int], count: int) -> Iterator[np.random.Generator]:
+    """Yield ``derive_rng(m, i)`` for each m in ``masters`` and, within
+    it, i = 0, ..., count - 1 (count at most 2**32).
+
+    The generators are bit-identical to ``derive_rng``'s.  A master that
+    masks to below 2**32 is one SeedSequence word and any other two, so
+    the seeds of all masters of one word count are hashed in one call.  The hash's
+    working arrays grow with len(masters) * count, which the caller bounds.
+    """
+    words = [_path_words(m) for m in masters]
+    seeds = np.empty((len(masters), count, 4), dtype=np.uint64)
+    for width in (1, 2):
+        group = [q for q, w in enumerate(words) if len(w) == width]
+        if not group:
+            continue
+        entropy = np.empty((width + 1, len(group), count), dtype=np.uint32)
+        entropy[:width] = np.array([words[q] for q in group], dtype=np.uint32).T[:, :, None]
+        entropy[width] = np.arange(count, dtype=np.uint32)
+        seeds[group] = _pcg64_seeds(entropy.reshape(width + 1, -1)).reshape(len(group), count, 4)
+    for seed in seeds.reshape(-1, 4):
+        yield np.random.Generator(np.random.PCG64(_PoolState(seed)))

@@ -204,6 +204,71 @@ class TestConfusionMatrix:
         assert float(lines[4].split()[1]) == m.accuracy
 
 
+def _reference_confusion(models, test_sets, num_samples, seed):
+    """The one-detect-per-query loop confusion() must reproduce."""
+    ids = [m.scene_id for m in models]
+    index = {sid: i for i, sid in enumerate(ids)}
+    for sid in test_sets:
+        if sid not in index:
+            raise ValueError(f"no model for scene {sid!r}")
+    counts = np.zeros((len(ids), len(ids)), dtype=int)
+    for sid, queries in test_sets.items():
+        for qi, x in enumerate(queries):
+            if len(models) == 1:
+                counts[0, 0] += 1
+                continue
+            result = detect(models, x, num_samples, derive_seed(seed, _scene_tag(sid), qi))
+            counts[index[sid], index[result.scene_id]] += 1
+    return counts
+
+
+def _confusion_outcome(fn, *args):
+    try:
+        counts = fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return np.asarray(getattr(counts, "counts", counts)).tolist()
+
+
+class TestConfusionEqualsDetectLoop:
+    def _models(self):
+        return [_toy_model("a", seed=1), _toy_model("b", seed=2), _toy_model("c", seed=4)]
+
+    def _test_sets(self):
+        rng = np.random.default_rng(78)
+        return {sid: [rng.normal(size=6) for _ in range(n)] for sid, n in (("a", 9), ("b", 0), ("c", 4))}
+
+    def _check(self, models, test_sets, num_samples=40, seed=3):
+        want = _confusion_outcome(_reference_confusion, models, test_sets, num_samples, seed)
+        assert _confusion_outcome(confusion, models, test_sets, num_samples, seed) == want
+        return want
+
+    @pytest.mark.parametrize("num_samples", [1, 40, 128])
+    def test_counts(self, num_samples):
+        counts = self._check(self._models(), self._test_sets(), num_samples)
+        assert sum(map(sum, counts)) == 13
+
+    def test_ties_go_to_the_first_model(self):
+        twins = [SceneModel(sid, _toy_net(p=0.0), _calibration(sid)) for sid in ("a", "b")]
+        assert self._check(twins, {"a": [np.ones(6)], "b": [np.zeros(6)]}) == [[1, 0], [1, 0]]
+
+    def test_errors(self):
+        models, test_sets = self._models(), self._test_sets()
+        duplicate = models[:2] + [_toy_model("a", seed=5)]
+        assert self._check(duplicate, test_sets)[0] is ValueError
+        assert self._check(models, {"d": [np.zeros(6)]})[0] is ValueError
+        test_sets["c"][2] = np.full(6, np.nan)
+        assert self._check(models, test_sets)[0].__name__ == "DegenerateQuaternion"
+        test_sets["a"][5] = np.ones(5)
+        assert self._check(models, test_sets)[0].__name__ == "ShapeMismatch"
+        wide = models[:2] + [SceneModel("c", _toy_net(input_width=7), _calibration("c"))]
+        assert self._check(wide, self._test_sets())[0].__name__ == "ShapeMismatch"
+        # The first query fails on the last model, a later one on the first.
+        test_sets = self._test_sets()
+        test_sets["a"][4] = np.ones(7)
+        assert self._check(wide, test_sets)[1] == "input shape (6,) does not match network input (7,)"
+
+
 @pytest.fixture(scope="module")
 def models_and_tests():
     models = []
@@ -236,6 +301,11 @@ class TestTwoSceneRecognition:
         m = confusion(models, test_sets, num_samples=16, seed=5)
         assert m.total == 50
         assert m.accuracy > 0.5
+
+    def test_confusion_equals_detect_loop(self, models_and_tests):
+        models, test_sets = models_and_tests
+        want = _reference_confusion(models, test_sets, 40, 6)
+        assert confusion(models, test_sets, 40, 6).counts.tolist() == want.tolist()
 
     def test_confusion_deterministic(self, models_and_tests):
         models, test_sets = models_and_tests

@@ -76,14 +76,18 @@ FORMATS = {
         ("layers", ["layers", 0, "weights", 0, 0], ("seed", "1")),
     ),
 }
-TEXT_CORRUPTIONS = ["drop_tag", "empty", "truncate_line", "drop_column", "nan", "inf", "x"]
+TEXT_CORRUPTIONS = ["drop_tag", "empty", "truncate_line", "drop_column", "nan", "inf", "x", "0xff"]
 JSON_CORRUPTIONS = [
-    "drop_tag", "non_object", "empty", "truncate_line", "drop_field", "nan", "inf", "huge_int", "x", "wrong_type",
+    "drop_tag", "non_object", "empty", "truncate_line", "drop_field", "nan", "inf", "huge_int", "x", "0xff",
+    "wrong_type",
 ]
 CASES = [(f, c) for f, spec in FORMATS.items()
          for c in (TEXT_CORRUPTIONS if isinstance(spec[2], str) else JSON_CORRUPTIONS)]
 # Line 3 holds the first row of both text tables.
 ROW = 3
+# Written with surrogateescape, this character becomes the byte 0xff,
+# which no UTF-8 text holds.
+BYTE_FF = "\udcff"
 
 
 def _set(doc, path, value):
@@ -107,7 +111,7 @@ def _corrupt_text(text, tag, corruption):
     elif corruption == "drop_column":
         lines[ROW - 1] = sep.join(fields[:2] + fields[3:]) + "\n"
     else:
-        fields[2] = corruption
+        fields[2] = BYTE_FF if corruption == "0xff" else corruption
         lines[ROW - 1] = sep.join(fields) + "\n"
     return "".join(lines), 1 if corruption == "drop_tag" else ROW
 
@@ -122,9 +126,10 @@ def _corrupt_json(text, spec, corruption):
     if corruption == "truncate_line":
         cut = text[: len(text) // 2]
         return cut, cut.count("\n") + 1
-    if corruption == "x":
+    if corruption in ("x", "0xff"):
         first = re.search(r"\d+\.\d+", text)
-        return text[: first.start()] + "x" + text[first.end():], text.count("\n", 0, first.start()) + 1
+        bad = BYTE_FF if corruption == "0xff" else "x"
+        return text[: first.start()] + bad + text[first.end():], text.count("\n", 0, first.start()) + 1
     doc = json.loads(text)
     if corruption == "drop_tag":
         del doc["format"]
@@ -145,10 +150,12 @@ def test_corrupted_file_is_rejected(tmp_path, fmt, corruption):
     read(path)  # the writer's own output loads
     corrupt = _corrupt_text if isinstance(spec, str) else _corrupt_json
     text, line = corrupt(path.read_text(), spec, corruption)
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(ParseError) as e:
         read(path)
     assert e.value.line == line
+    if corruption == "0xff":
+        assert "not UTF-8: byte 0xff" in str(e.value)
     if corruption == "drop_field":
         assert repr(spec[0]) in str(e.value)
     if corruption == "wrong_type":

@@ -181,6 +181,12 @@ class TestRunEval:
         assert c["spearman_trans_trace_vs_rot_trace"] == spearman(tt, rt)
         assert c["pearson_trans_trace_vs_trans_error"] == pearson(tt, terr)
 
+    def test_records_match_localize(self, report, model, dataset):
+        # the report fixture is run_eval(model, dataset, num_samples=6, seed=11)
+        for qi, (rec, ex) in enumerate(zip(report.records, dataset.test)):
+            pose, est = localize(model.network, ex.features, 6, derive_seed(11, qi))
+            assert (rec.est_pose, rec.trans_trace, rec.rot_trace) == (pose, est.trans_trace, est.rot_trace)
+
     def test_repeat_run_identical(self, model, dataset):
         a = run_eval(model, dataset, num_samples=4, seed=9)
         b = run_eval(model, dataset, num_samples=4, seed=9)
@@ -240,9 +246,26 @@ class TestRunSweep:
     def test_count_above_maximum_rejected_before_any_pass(self, model, dataset, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "localize", lambda *args: calls.append(args))
+        monkeypatch.setattr(harness, "localize_batch", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="sample counts"):
             run_sweep(model, dataset, [1, MAX_NUM_SAMPLES + 1], repetitions=1, seed=6)
         assert calls == []
+
+    def test_medians_match_localize_loop(self, model, dataset):
+        sweep = run_sweep(model, dataset, [3, 40], repetitions=2, seed=6)
+        for row in sweep.rows[1:]:
+            medians = []
+            for rep in range(2):
+                seed = derive_seed(6, row.num_samples, rep)
+                trans_err, rot_err = [], []
+                for qi, ex in enumerate(dataset.test):
+                    pose, _ = localize(model.network, ex.features, row.num_samples, derive_seed(seed, qi))
+                    trans_err.append(translation_error(pose.position, ex.pose.position))
+                    rot_err.append(rotation_error_deg(pose.orientation, ex.pose.orientation))
+                medians.append((median_low(trans_err), median_low(rot_err)))
+            trans, rot = np.array(medians).T
+            assert (row.mean_median_trans, row.std_median_trans) == (trans.mean(), trans.std())
+            assert (row.mean_median_rot, row.std_median_rot) == (rot.mean(), rot.std())
 
     def test_maskless_row_always_included(self, model, dataset):
         sweep = run_sweep(model, dataset, [1, 4], repetitions=2, seed=6)

@@ -2,7 +2,9 @@
 
 The array code is checked bit for bit against the per-sample code it
 replaced (one ``normalize`` and one ``UnitQuaternion`` per pass), kept
-here as the reference.
+here as the reference, and ``localize_batch`` against a loop of
+``localize`` calls.  Moment tests check both against the mathematics of
+inverted dropout.
 """
 
 import re
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_regressor import _fast_path_nets
 
-from bayesreloc.errors import DegenerateQuaternion
+from bayesreloc.errors import DegenerateQuaternion, ShapeMismatch
 from bayesreloc.geometry import UnitQuaternion, Vec3, normalize
 from bayesreloc.mc_posterior import (
     DEFAULT_NUM_SAMPLES,
@@ -21,13 +23,24 @@ from bayesreloc.mc_posterior import (
     MAX_NUM_SAMPLES,
     PoseSampleSet,
     UncertaintyEstimate,
+    _BLOCK_ROWS,
     _unit_rows,
     estimate,
     estimate_determinant,
     localize,
+    localize_batch,
     sample_posterior,
 )
-from bayesreloc.regressor import LayerSpec, build_network, draw_mask, forward
+from bayesreloc.regressor import (
+    LayerSpec,
+    _mask_block,
+    build_network,
+    draw_mask,
+    feature_embedding,
+    forward,
+    pose_network,
+)
+from bayesreloc.seeding import derive_rng_grid, derive_seed
 
 IDENTITY_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -463,3 +476,140 @@ class TestLocalize:
     def test_default_and_max_sample_counts(self):
         assert DEFAULT_NUM_SAMPLES == 40
         assert MAX_NUM_SAMPLES == 128
+
+
+def _result_bits(result):
+    pose, est = result
+    floats = (*pose.position.as_array(), *pose.orientation.as_array())
+    return tuple(float(v).hex() for v in floats), _bits(est)
+
+
+def _loop(net, X, seeds, num_samples):
+    return [localize(net, x, num_samples, s) for x, s in zip(X, seeds)]
+
+
+def _outcome(fn, *args):
+    """Every float of the results as hex text, or the error's type and text."""
+    try:
+        return [_result_bits(r) for r in fn(*args)]
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _batch_nets():
+    return {**_fast_path_nets(), "bench": pose_network(32, (128, 128), 0.5, seed=703)}
+
+
+# Master seeds at SeedSequence's word boundary, and derived ones.
+master_seeds = st.one_of(
+    st.sampled_from([0, 3, 2**32 - 1, 2**32, 2**63 - 1]),
+    st.integers(0, 2**32).map(lambda v: derive_seed(v, 1)),
+)
+
+
+class TestLocalizeBatch:
+    """localize_batch must equal the loop of localize calls it replaces."""
+
+    @settings(deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_batch_nets())),
+        w_bias=st.sampled_from([0.0, 1.0]),
+        num_samples=st.sampled_from([1, 2, 4, 40, 128]),
+        data=st.data(),
+    )
+    def test_equals_localize_loop(self, name, w_bias, num_samples, data):
+        # Zero biases let a mask zero a small net's raw quaternion, which
+        # both must reject at the same query.
+        net = _batch_nets()[name]
+        net.layers[-1].bias[3] = w_bias
+        per_block = _BLOCK_ROWS // num_samples
+        count = data.draw(st.sampled_from([1, 2, per_block, per_block + 1, 2 * per_block + 1]), "queries")
+        seeds = data.draw(st.lists(master_seeds, min_size=count, max_size=count), "seeds")
+        x_seed = data.draw(st.integers(0, 2**32 - 1), "x_seed")
+        X = np.random.default_rng(x_seed).normal(size=(count, net.input_width))
+        want = _outcome(_loop, net, X, seeds, num_samples)
+        assert _outcome(localize_batch, net, X, seeds, num_samples) == want
+
+    @pytest.mark.parametrize("bad", [0, 1, 3, 5, 6])
+    def test_wrong_width_raises_at_the_same_query(self, bad):
+        net = _net()
+        # Query 2's raw quaternions are NaN; at 128 samples a block holds
+        # two queries.
+        X = [np.ones(4) for _ in range(7)]
+        X[2] = np.full(4, np.nan)
+        X[bad] = np.ones(5)
+        seeds = list(range(7))
+        want = _outcome(_loop, net, X, seeds, 128)
+        assert want[0] is (ShapeMismatch if bad < 2 else DegenerateQuaternion)
+        assert _outcome(localize_batch, net, X, seeds, 128) == want
+
+    def test_degenerate_pass_raises_at_the_same_query(self):
+        net = _net()
+        net.layers[-1].bias[3] = 0.0
+        X = np.ones((5, 4))
+        X[3] = 0.0
+        want = _outcome(_loop, net, X, range(5), 40)
+        assert want[0] is DegenerateQuaternion
+        assert _outcome(localize_batch, net, X, range(5), 40) == want
+
+    def test_sample_count_bounds_and_empty_input(self):
+        net = _net()
+        for bad in (0, MAX_NUM_SAMPLES + 1):
+            with pytest.raises(ValueError, match="num_samples"):
+                localize_batch(net, [np.ones(4)], [0], bad)
+        assert localize_batch(net, [], [], 0) == []
+        with pytest.raises(ValueError):
+            localize_batch(net, [np.ones(4)], [0, 1])
+
+
+def _last_layer_net():
+    """Dropout on the input of the final identity layer only."""
+    specs = [LayerSpec(16, 64), LayerSpec(64, 64), LayerSpec(64, 7, has_dropout=True, activation="identity")]
+    net = build_network(specs, 0.5, seed=31)
+    net.layers[-1].bias[:] = [0.3, -0.2, 0.1, 1.0, 0.0, 0.0, 0.0]
+    return net
+
+
+@pytest.mark.parametrize("run", [_loop, localize_batch], ids=["localize", "localize_batch"])
+class TestDropoutMoments:
+    """With dropout only before a linear last layer, y = W (m * a) / (1 - p) + b
+    has mean W a + b, the maskless output, and variance
+    p / (1 - p) * sum_j W_ij^2 a_j^2 in output i.  Bounds sit 4 standard
+    errors from the expected value (central limit theorem)."""
+
+    QUERIES = 200
+    SAMPLES = 128
+
+    def _run(self, run):
+        net = _last_layer_net()
+        x = np.random.default_rng(32).normal(size=16)
+        seeds = [derive_seed(33, q) for q in range(self.QUERIES)]
+        results = run(net, [x] * self.QUERIES, seeds, self.SAMPLES)
+        a = feature_embedding(net, x)
+        p = net.dropout_p
+        variance = p / (1.0 - p) * (net.layers[-1].weights[:3] ** 2 @ a**2)
+        return net, x, results, variance
+
+    def test_mean_position_is_the_maskless_output(self, run):
+        net, x, results, variance = self._run(run)
+        means = np.array([est.trans_mean.as_array() for _, est in results])
+        se = np.sqrt(variance / (self.QUERIES * self.SAMPLES))
+        assert np.all(np.abs(means.mean(axis=0) - forward(net, x)[:3]) <= 4.0 * se)
+
+    def test_mean_translation_trace_is_analytic(self, run):
+        _, _, results, variance = self._run(run)
+        traces = np.array([est.trans_trace for _, est in results])
+        se = traces.std(ddof=1) / np.sqrt(self.QUERIES)
+        assert abs(traces.mean() - variance.sum()) <= 4.0 * se
+
+
+def test_grid_masks_keep_units_binomially():
+    # Each unit of each mask row is kept with probability 1 - p, so over R
+    # rows a unit's keep fraction has standard error sqrt(p (1 - p) / R).
+    net = pose_network(32, (128, 128), 0.5, seed=34)
+    masters = [0, 3, 2**32 - 1, 2**32, 2**63 - 1, *(derive_seed(35, q) for q in range(3))]
+    rows = len(masters) * MAX_NUM_SAMPLES
+    masks = _mask_block(net, derive_rng_grid(masters, MAX_NUM_SAMPLES), rows)
+    assert masks.shape == (rows, 256) and set(np.unique(masks)) <= {0.0, 1.0}
+    p = net.dropout_p
+    assert np.all(np.abs(masks.mean(axis=0) - (1.0 - p)) <= 4.0 * np.sqrt(p * (1.0 - p) / rows))

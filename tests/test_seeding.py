@@ -1,8 +1,9 @@
 """Property tests: block stream derivation equals the one-path reference.
 
-``derive_rng`` is the reference; ``derive_rngs``, the mask blocks built on
-it and scene generation must reproduce it bit for bit, whatever the path
-values, the block boundaries or the word count of an index.
+``derive_rng`` is the reference; ``derive_rngs``, ``derive_rng_grid``, the
+mask blocks built on them and scene generation must reproduce it bit for
+bit, whatever the path values, the block boundaries or the word count of
+an index or a master seed.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from bayesreloc.scenes import (
     _sample_pose,
     generate_scene,
 )
-from bayesreloc.seeding import _MAX_ROWS, derive_rng, derive_rngs
+from bayesreloc.seeding import _MAX_ROWS, derive_rng, derive_rng_grid, derive_rngs
 
 # Values where SeedSequence's word split changes, plus values it only sees
 # after masking to 64 bits.
@@ -80,6 +81,26 @@ class TestDeriveRngs:
     def test_rejects_non_integer_path(self):
         with pytest.raises(TypeError):
             list(derive_rngs((1.5,), 0, 1))
+
+
+class TestDeriveRngGrid:
+    @SETTINGS
+    @given(masters=st.lists(path_values, max_size=6), count=st.integers(0, 40))
+    def test_equals_derive_rng(self, masters, count):
+        got = list(derive_rng_grid(masters, count))
+        want = [derive_rng(m, i) for m in masters for i in range(count)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_generator(g, w)
+
+    def test_one_hash_per_word_count(self, monkeypatch):
+        import bayesreloc.seeding as seeding
+
+        shapes = []
+        real = seeding._pcg64_seeds
+        monkeypatch.setattr(seeding, "_pcg64_seeds", lambda e: shapes.append(e.shape) or real(e))
+        list(derive_rng_grid([2**40, 3, 2**32 - 1, -1, 7], 4))
+        assert shapes == [(2, 12), (3, 8)]
 
 
 class TestPrecomputedSeedSequence:
