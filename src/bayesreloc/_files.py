@@ -1,7 +1,7 @@
 """How the package's files are framed, and how their faults are reported:
 as ParseError, with the line of a byte that is not UTF-8, a bad table row
 or a JSON syntax error, or naming the JSON field that is missing or of
-the wrong type."""
+the wrong type.  Text tables and JSON objects are written here too."""
 
 from __future__ import annotations
 
@@ -54,6 +54,16 @@ def write_json(path: str | os.PathLike, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
+
+
+def write_table(path: str | os.PathLike, head: list[str], rows, sep: str) -> None:
+    """Write the ``head`` lines, then each row's fields joined by ``sep``:
+    a str as it is, anything else as ``repr(float(v))``, which reads back
+    to the same float."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(line + "\n" for line in head)
+        for row in rows:
+            f.write(sep.join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n")
 
 
 def field(doc, key: str, kind: type, default=_REQUIRED):

@@ -8,7 +8,6 @@ non-convergent fits).  Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .calibration import load_calibration, save_calibration
@@ -28,6 +27,8 @@ from .errors import (
 )
 from .geometry import LossConfig
 from .harness import (
+    _histogram_thresholds,
+    _sweep_counts,
     read_query_table,
     run_calibration,
     run_eval,
@@ -296,24 +297,24 @@ def _cmd_sweep(args) -> int:
     counts = _int_list(args.counts, "--counts")
     if not counts:
         raise _UsageError("--counts needs at least one sample count")
-    if not all(0 <= c <= MAX_NUM_SAMPLES for c in counts):
-        raise _UsageError(f"--counts must lie in [0, {MAX_NUM_SAMPLES}], got {args.counts}")
+    try:
+        swept = _sweep_counts(counts)
+    except ValueError as e:
+        raise _UsageError(f"--counts: {e}") from e
     net = load_checkpoint(args.net)
     dataset = load_dataset(args.data)
     sweep = run_sweep(net, dataset, counts, args.reps, args.seed)
     write_sweep(args.out, sweep)
-    print(f"swept counts {sorted(set(counts) | {0})} with {args.reps} repetitions; wrote {args.out}")
+    print(f"swept counts {swept} with {args.reps} repetitions; wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_hist(args) -> int:
     thresholds = _float_list(args.thresholds, "--thresholds")
-    if not thresholds:
-        raise _UsageError("--thresholds needs at least one threshold")
-    if any(math.isnan(t) for t in thresholds):
-        raise _UsageError("--thresholds must be numbers, got nan")
-    if thresholds != sorted(thresholds):
-        raise _UsageError("--thresholds must be sorted ascending")
+    try:
+        _histogram_thresholds(thresholds)
+    except ValueError as e:
+        raise _UsageError(f"--thresholds: {e}") from e
     records = read_query_table(args.table)
     hist = run_histogram(records, thresholds)
     write_histogram(args.out, hist)

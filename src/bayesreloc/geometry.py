@@ -83,6 +83,11 @@ class Pose:
     position: Vec3
     orientation: UnitQuaternion
 
+    def components(self) -> tuple[float, ...]:
+        """(tx, ty, tz, qw, qx, qy, qz), the order of the text tables' pose columns."""
+        p, q = self.position, self.orientation
+        return (p.x, p.y, p.z, q.w, q.x, q.y, q.z)
+
 
 @dataclass(frozen=True)
 class LossConfig:

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import open_text, table_rows, write_json
+from ._files import open_text, table_rows, write_json, write_table
 from .calibration import CalibrationModel, calibrate, z_score
 from .detector import SceneModel
 from .errors import ParseError, ShapeMismatch
@@ -245,6 +245,16 @@ def _split_medians(
     return median_low(trans_err), median_low(rot_err)
 
 
+def _sweep_counts(sample_counts: Sequence[int]) -> list[int]:
+    """The distinct counts with 0 added, ascending; ValueError unless all
+    lie in [0, MAX_NUM_SAMPLES]."""
+    counts = sorted(set(int(c) for c in sample_counts) | {0})
+    # sample_posterior would reject a count too large only after the smaller ones ran
+    if counts[0] < 0 or counts[-1] > MAX_NUM_SAMPLES:
+        raise ValueError(f"sample counts must lie in [0, {MAX_NUM_SAMPLES}], got {list(sample_counts)}")
+    return counts
+
+
 def run_sweep(
     model: SceneModel | NetworkParams,
     dataset: SceneDataset,
@@ -261,12 +271,7 @@ def run_sweep(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    counts = sorted(set(int(c) for c in sample_counts) | {0})
-    # sample_posterior would reject a count too large only after the smaller ones ran
-    if counts[0] < 0 or counts[-1] > MAX_NUM_SAMPLES:
-        raise ValueError(
-            f"sample counts must lie in [0, {MAX_NUM_SAMPLES}], got {list(sample_counts)}"
-        )
+    counts = _sweep_counts(sample_counts)
     net = _network_of(model)
 
     rows = []
@@ -294,6 +299,19 @@ def run_sweep(
     return SweepReport(rows=rows, seed=seed)
 
 
+def _histogram_thresholds(thresholds: Sequence[float]) -> list[float]:
+    """The thresholds as floats; ValueError unless there is one or more,
+    none is NaN and they ascend."""
+    t = [float(v) for v in thresholds]
+    if not t:
+        raise ValueError("need at least one threshold")
+    if np.isnan(t).any():
+        raise ValueError(f"thresholds must be numbers, got {t}")
+    if any(b < a for a, b in zip(t, t[1:])):
+        raise ValueError(f"thresholds must be sorted ascending, got {t}")
+    return t
+
+
 def run_histogram(
     report: EvalReport | Sequence[QueryRecord], thresholds: Sequence[float]
 ) -> HistogramReport:
@@ -304,13 +322,7 @@ def run_histogram(
     eval report or just its query records (e.g. re-read from a table).
     """
     records = report.records if isinstance(report, EvalReport) else list(report)
-    t = [float(v) for v in thresholds]
-    if not t:
-        raise ValueError("need at least one threshold")
-    if np.isnan(t).any():
-        raise ValueError(f"thresholds must be numbers, got {t}")
-    if any(b < a for a, b in zip(t, t[1:])):
-        raise ValueError(f"thresholds must be sorted ascending, got {t}")
+    t = _histogram_thresholds(thresholds)
     n = len(records)
     if n == 0:
         raise ValueError("no query records to histogram")
@@ -354,32 +366,14 @@ def run_timing(
     )
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def write_query_table(path: str | os.PathLike, report: EvalReport) -> None:
     """Tab-separated per-query records; bitwise reproducible for equal runs."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# {EVAL_TABLE_FORMAT}\n")
-        f.write("\t".join(_TABLE_COLUMNS) + "\n")
-        for r in report.records:
-            tp, tq = r.true_pose.position, r.true_pose.orientation
-            ep, eq = r.est_pose.position, r.est_pose.orientation
-            fields = [r.query_id]
-            fields += [_fmt(v) for v in (tp.x, tp.y, tp.z, tq.w, tq.x, tq.y, tq.z)]
-            fields += [_fmt(v) for v in (ep.x, ep.y, ep.z, eq.w, eq.x, eq.y, eq.z)]
-            fields += [
-                _fmt(r.trans_error),
-                _fmt(r.rot_error_deg),
-                _fmt(r.trans_trace),
-                _fmt(r.rot_trace),
-                _fmt(r.z_trans),
-                _fmt(r.z_rot),
-                _fmt(r.z_combined),
-                _fmt(r.nn_feature_distance),
-            ]
-            f.write("\t".join(fields) + "\n")
+    rows = (
+        [r.query_id, *r.true_pose.components(), *r.est_pose.components(), r.trans_error, r.rot_error_deg,
+         r.trans_trace, r.rot_trace, r.z_trans, r.z_rot, r.z_combined, r.nn_feature_distance]
+        for r in report.records
+    )
+    write_table(path, [f"# {EVAL_TABLE_FORMAT}", "\t".join(_TABLE_COLUMNS)], rows, "\t")
 
 
 def read_query_table(path: str | os.PathLike) -> list[QueryRecord]:
@@ -423,32 +417,20 @@ def write_summary(path: str | os.PathLike, report: EvalReport) -> None:
 
 
 def write_sweep(path: str | os.PathLike, sweep: SweepReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# {SWEEP_FORMAT} seed={sweep.seed}\n")
-        f.write(f"# {sweep.note}\n")
-        f.write(
-            "num_samples\tmean_median_trans_m\tstd_median_trans_m"
-            "\tmean_median_rot_deg\tstd_median_rot_deg\trepetitions\n"
-        )
-        for row in sweep.rows:
-            f.write(
-                "\t".join(
-                    [
-                        str(row.num_samples),
-                        _fmt(row.mean_median_trans),
-                        _fmt(row.std_median_trans),
-                        _fmt(row.mean_median_rot),
-                        _fmt(row.std_median_rot),
-                        str(row.repetitions),
-                    ]
-                )
-                + "\n"
-            )
+    head = [
+        f"# {SWEEP_FORMAT} seed={sweep.seed}",
+        f"# {sweep.note}",
+        "num_samples\tmean_median_trans_m\tstd_median_trans_m"
+        "\tmean_median_rot_deg\tstd_median_rot_deg\trepetitions",
+    ]
+    rows = (
+        [str(r.num_samples), r.mean_median_trans, r.std_median_trans, r.mean_median_rot, r.std_median_rot,
+         str(r.repetitions)]
+        for r in sweep.rows
+    )
+    write_table(path, head, rows, "\t")
 
 
 def write_histogram(path: str | os.PathLike, hist: HistogramReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# {HIST_FORMAT} query_count={hist.query_count}\n")
-        f.write("threshold\tfrac_trans_le\tfrac_rot_le\n")
-        for row in hist.rows:
-            f.write("\t".join([_fmt(row.threshold), _fmt(row.frac_trans), _fmt(row.frac_rot)]) + "\n")
+    head = [f"# {HIST_FORMAT} query_count={hist.query_count}", "threshold\tfrac_trans_le\tfrac_rot_le"]
+    write_table(path, head, ([r.threshold, r.frac_trans, r.frac_rot] for r in hist.rows), "\t")

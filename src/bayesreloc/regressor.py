@@ -34,7 +34,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .geometry import NORM_FLOOR, LossConfig, Pose
-from .seeding import derive_rng, derive_rng_grid, derive_rngs
+from .seeding import derive_rng, derive_rngs
 
 POSE_WIDTH = 7
 CHECKPOINT_FORMAT = "bayesreloc-net-v1"
@@ -215,7 +215,7 @@ def draw_masks(net: NetworkParams, master_seed: int, start: int, count: int) -> 
     block's streams come from :func:`derive_rngs`, which hashes their
     seeds together: training draws one block per batch.
     """
-    return _mask_block(net, derive_rngs((master_seed,), start, count), count)
+    return _mask_block(net, derive_rngs([(master_seed,)], start, count), count)
 
 
 def draw_mask(net: NetworkParams, master_seed: int, sample_index: int) -> np.ndarray:
@@ -297,7 +297,7 @@ def _stochastic_passes(
 
     Query q enters as its :func:`_trunk` row and pass i takes the mask
     :func:`draw_mask` (master_seeds[q], i), whose seeds are hashed
-    together by :func:`derive_rng_grid`.  Each row equals its
+    together by :func:`derive_rngs`.  Each row equals its
     :func:`forward` pass bit for bit: the passes cross the dropout layers
     as a (queries, count, 1, width) stack, for which matmul makes the
     one-row pass's gemv call per pass, where a 2-D block would take gemm.
@@ -305,7 +305,7 @@ def _stochastic_passes(
     a = trunks[:, None, None, :]
     head = net.layers[_first_dropout(net) :]
     if head:
-        masks = _mask_block(net, derive_rng_grid(master_seeds, count), len(trunks) * count)
+        masks = _mask_block(net, derive_rngs([(m,) for m in master_seeds], 0, count), len(trunks) * count)
         a = _propagate(net, a, head, _split_masks(net, masks.reshape(len(trunks), count, 1, -1)))
     return np.broadcast_to(a, (len(trunks), count, 1, POSE_WIDTH)).reshape(-1, POSE_WIDTH)
 
@@ -374,13 +374,11 @@ def _stack_examples(net: NetworkParams, examples: Sequence[TrainExample]):
     """Features, positions and quaternions as arrays, filled row by row
     (np.stack would make a temporary view per example, raising peak memory)."""
     x = np.empty((len(examples), net.input_width))
-    pos = np.empty((len(examples), 3))
-    quat = np.empty((len(examples), 4))
+    poses = np.empty((len(examples), POSE_WIDTH))
     for i, (features, pose) in enumerate(examples):
         x[i] = _check_input(net, features)
-        pos[i] = (pose.position.x, pose.position.y, pose.position.z)
-        quat[i] = (pose.orientation.w, pose.orientation.x, pose.orientation.y, pose.orientation.z)
-    return x, pos, quat
+        poses[i] = pose.components()
+    return x, poses[:, :3], poses[:, 3:]
 
 
 def loss_gradient(

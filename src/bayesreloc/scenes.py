@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import field, numbers, open_text, read_json, table_rows, write_json
+from ._files import field, numbers, open_text, read_json, table_rows, write_json, write_table
 from .errors import DegenerateQuaternion, InvalidSpec, ParseError, ShapeMismatch
 from .geometry import Pose, Vec3, normalize
 from .seeding import derive_rng, derive_rngs
@@ -85,13 +85,13 @@ class SceneSpec:
             raise InvalidSpec(f"nuisance_dim must be >= 0, got {self.nuisance_dim}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise InvalidSpec(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
-        if self.aliasing_period is not None and not self.aliasing_period > 0.0:
-            raise InvalidSpec(f"aliasing_period must be positive, got {self.aliasing_period!r}")
+        if self.aliasing_period is not None and not 0.0 < self.aliasing_period < math.inf:
+            raise InvalidSpec(f"aliasing_period must be positive and finite, got {self.aliasing_period!r}")
         lo, hi = self.yaw_range_deg
-        if not hi >= lo:
-            raise InvalidSpec(f"yaw range ({lo!r}, {hi!r}) is inverted")
-        if not self.pitch_roll_std_deg >= 0.0:
-            raise InvalidSpec(f"pitch_roll_std_deg must be >= 0, got {self.pitch_roll_std_deg!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi >= lo):
+            raise InvalidSpec(f"yaw range ({lo!r}, {hi!r}) is inverted or non-finite")
+        if not 0.0 <= self.pitch_roll_std_deg < math.inf:
+            raise InvalidSpec(f"pitch_roll_std_deg must be >= 0 and finite, got {self.pitch_roll_std_deg!r}")
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def generate_scene(
     for split, count in (("train", n_train), ("calib", n_calib), ("test", n_test)):
         tag = _SPLIT_TAGS[split]
         examples = []
-        for i, rng in enumerate(derive_rngs((spec.generator_seed, tag), 0, count)):
+        for i, rng in enumerate(derive_rngs([(spec.generator_seed, tag)], 0, count)):
             pose = _sample_pose(spec, rng, survey_bias=(split == "train"))
             nuisance = rng.normal(size=spec.nuisance_dim)
             features = fmap(pose, nuisance)
@@ -252,16 +252,9 @@ def generate_scene(
 
 
 def save_examples(path: str | os.PathLike, examples: Sequence[Example], feature_dim: int) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{DATA_FORMAT} feature_dim={feature_dim}\n")
-        f.write("# query_id tx ty tz qw qx qy qz f1..fD\n")
-        for ex in examples:
-            p = ex.pose.position
-            q = ex.pose.orientation
-            fields = [ex.query_id]
-            fields += [repr(float(v)) for v in (p.x, p.y, p.z, q.w, q.x, q.y, q.z)]
-            fields += [repr(float(v)) for v in ex.features]
-            f.write(" ".join(fields) + "\n")
+    head = [f"{DATA_FORMAT} feature_dim={feature_dim}", "# query_id tx ty tz qw qx qy qz f1..fD"]
+    rows = ([ex.query_id, *ex.pose.components(), *ex.features.tolist()] for ex in examples)
+    write_table(path, head, rows, " ")
 
 
 def load_examples(path: str | os.PathLike) -> tuple[int, list[Example]]:

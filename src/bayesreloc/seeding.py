@@ -7,16 +7,15 @@ the work is fanned out.
 
 ``derive_rng`` is the reference: numpy's ``SeedSequence`` of the path
 seeds a ``PCG64``.  ``derive_rngs`` yields the same generators for a run
-of consecutive last indices, and ``derive_rng_grid`` for the paths
-(m, i) of several master seeds m and i below a count.  Most of
+of consecutive last indices after each of several prefixes.  Most of
 ``derive_rng``'s cost is the ``SeedSequence`` hash, which is 32-bit
-arithmetic, so both run it for many paths at once as numpy array
-operations and hand each row's state to ``PCG64`` through
-``ISeedSequence``.  Training batches and scene splits draw through
-``derive_rngs``, and batched Monte Carlo sampling (a block of queries'
-masks) through ``derive_rng_grid``.  The block hash has a fixed cost of
-several ``derive_rng`` calls, so single draws, such as the one mask per
-pass of one-query ``localize``, stay on ``derive_rng``.
+arithmetic, so it runs the hash for many paths at once as numpy array
+operations and hands each row's state to ``PCG64`` through
+``ISeedSequence``.  Training batches, scene splits and batched Monte
+Carlo sampling (a block of queries' masks) draw through it.  The block
+hash has a fixed cost of several ``derive_rng`` calls, so single draws,
+such as the one mask per pass of one-query ``localize``, stay on
+``derive_rng``.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ _XSHIFT = np.array(16, dtype=np.uint32)
 _STATE_SOURCES = np.arange(8) % _POOL_SIZE
 # Rows hashed at once: bounds the hash's working arrays (about 250 bytes
 # a row) for any count, and is long enough that the fixed cost is spread.
+# The seeds kept for the yielded generators take 32 bytes a row.
 _MAX_ROWS = 1024
 
 
@@ -146,58 +146,39 @@ def _path_words(value: int) -> list[int]:
     return [value & _MASK32, value >> 32] if value >> 32 else [value]
 
 
-def _index_runs(start: int, count: int) -> Iterator[tuple[int, int, int]]:
-    """Split the masked indices start, ..., start + count - 1 into runs of
-    at most _MAX_ROWS with equal SeedSequence word count: (first index,
-    length, words)."""
-    value, left = start & _MASK64, count
-    while left:
-        words = 1 if value <= _MASK32 else 2
-        length = min(left, _MAX_ROWS, (_MASK32 if words == 1 else _MASK64) + 1 - value)
-        yield value, length, words
-        value, left = (value + length) & _MASK64, left - length
+def derive_rngs(
+    prefixes: Sequence[Sequence[int]], start: int, count: int
+) -> Iterator[np.random.Generator]:
+    """Yield ``derive_rng(*p, start + j)`` for each prefix p and, within
+    it, j = 0, ..., count - 1, made one at a time.
 
-
-def derive_rngs(prefix: Sequence[int], start: int, count: int) -> Iterator[np.random.Generator]:
-    """Yield ``derive_rng(*prefix, start + j)`` for j = 0, ..., count - 1.
-
-    The generators are bit-identical to ``derive_rng``'s and are made one
-    at a time; seeds are hashed up to _MAX_ROWS at once.
+    The generators are bit-identical to ``derive_rng``'s.  The hash sees a
+    path only as its SeedSequence words, so the seeds of all paths of one
+    word count are hashed together, up to _MAX_ROWS at once.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    head = np.array([w for p in prefix for w in _path_words(p)], dtype=np.uint32)[:, None]
-    # An index of 2**32 or more takes two words, and the hash depends on
-    # the word count, so each width is hashed on its own.
-    for first, length, words in _index_runs(operator.index(start), count):
-        index = np.arange(length, dtype=np.uint64) + np.uint64(first)
-        entropy = np.empty((len(head) + words, length), dtype=np.uint32)
-        entropy[: len(head)] = head
-        entropy[len(head)] = index & np.uint64(_MASK32)
-        if words == 2:
-            entropy[len(head) + 1] = index >> np.uint64(32)
-        for seed in _pcg64_seeds(entropy):
-            yield np.random.Generator(np.random.PCG64(_PoolState(seed)))
-
-
-def derive_rng_grid(masters: Sequence[int], count: int) -> Iterator[np.random.Generator]:
-    """Yield ``derive_rng(m, i)`` for each m in ``masters`` and, within
-    it, i = 0, ..., count - 1 (count at most 2**32).
-
-    The generators are bit-identical to ``derive_rng``'s.  A master that
-    masks to below 2**32 is one SeedSequence word and any other two, so
-    the seeds of all masters of one word count are hashed in one call.  The hash's
-    working arrays grow with len(masters) * count, which the caller bounds.
-    """
-    words = [_path_words(m) for m in masters]
-    seeds = np.empty((len(masters), count, 4), dtype=np.uint64)
-    for width in (1, 2):
-        group = [q for q, w in enumerate(words) if len(w) == width]
-        if not group:
-            continue
-        entropy = np.empty((width + 1, len(group), count), dtype=np.uint32)
-        entropy[:width] = np.array([words[q] for q in group], dtype=np.uint32).T[:, :, None]
-        entropy[width] = np.arange(count, dtype=np.uint32)
-        seeds[group] = _pcg64_seeds(entropy.reshape(width + 1, -1)).reshape(len(group), count, 4)
-    for seed in seeds.reshape(-1, 4):
+    heads = [[w for p in prefix for w in _path_words(p)] for prefix in prefixes]
+    first = operator.index(start) & _MASK64
+    # An index takes a second SeedSequence word from 2**32 on, and one again
+    # once it wraps past 2**64 - 1: cut the run of indices there.
+    cuts = sorted({0, count} | {b - first for b in (_MASK32 + 1, _MASK64 + 1) if 0 < b - first < count})
+    groups: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}  # word count: (rows, entropy) pieces
+    for lo, hi in zip(cuts, cuts[1:]):
+        words = 1 if (first + lo) & _MASK64 <= _MASK32 else 2
+        index = np.arange(hi - lo, dtype=np.uint64) + np.uint64((first + lo) & _MASK64)
+        tail = np.array([index & np.uint64(_MASK32), index >> np.uint64(32)], dtype=np.uint32)[:words, None]
+        for width in {len(h) for h in heads}:
+            group = [q for q, h in enumerate(heads) if len(h) == width]
+            entropy = np.empty((width + words, len(group), hi - lo), dtype=np.uint32)
+            entropy[:width] = np.array([heads[q] for q in group], dtype=np.uint32).T[:, :, None]
+            entropy[width:] = tail
+            rows = np.arange(lo, hi) + count * np.array(group)[:, None]
+            groups.setdefault(width + words, []).append((rows.ravel(), entropy.reshape(width + words, -1)))
+    seeds = np.empty((len(heads) * count, 4), dtype=np.uint64)
+    for parts in groups.values():
+        rows, entropy = parts[0] if len(parts) == 1 else (np.concatenate(a, axis=-1) for a in zip(*parts))
+        for lo in range(0, len(rows), _MAX_ROWS):
+            seeds[rows[lo : lo + _MAX_ROWS]] = _pcg64_seeds(entropy[:, lo : lo + _MAX_ROWS])
+    for seed in seeds:
         yield np.random.Generator(np.random.PCG64(_PoolState(seed)))

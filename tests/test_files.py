@@ -2,7 +2,8 @@
 
 Each case takes a writer's own output and applies one corruption from a
 fixed list.  Text tables and JSON syntax errors must name the line;
-nothing may surface as a bare KeyError, TypeError or IndexError.
+nothing may surface as a bare KeyError, TypeError or IndexError.  The
+text-table writers are also pinned to their exact bytes.
 """
 
 import json
@@ -12,19 +13,27 @@ import numpy as np
 import pytest
 
 from bayesreloc.calibration import calibrate, load_calibration, save_calibration
+from bayesreloc.detector import ConfusionMatrix, format_confusion
 from bayesreloc.errors import ParseError
 from bayesreloc.geometry import Pose, UnitQuaternion, Vec3
 from bayesreloc.harness import (
     EVAL_TABLE_FORMAT,
     EvalReport,
     EvalSummary,
+    HistogramReport,
+    HistogramRow,
     QueryRecord,
+    SweepReport,
+    SweepRow,
     read_query_table,
+    write_histogram,
     write_query_table,
+    write_sweep,
 )
 from bayesreloc.regressor import load_checkpoint, pose_network, save_checkpoint
 from bayesreloc.scenes import (
     DATA_FORMAT,
+    Example,
     SceneSpec,
     generate_scene,
     load_examples,
@@ -184,3 +193,78 @@ def test_mistyped_value_names_its_field(tmp_path, fmt, path, value):
     file.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match=repr(path[-1])):
         read(file)
+
+
+# Golden bytes of each text-table writer on hand-built inputs: a float that
+# needs 17 digits, a negative zero, an int held in a float field (written
+# as a float) and the int columns of the sweep (written as ints).
+SEVENTEEN = 0.1 + 0.2
+Q_ID = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
+Q_X = UnitQuaternion(0.0, -1.0, 0.0, 0.0)
+
+
+def test_dataset_bytes(tmp_path):
+    examples = [
+        Example("g-0", np.array([SEVENTEEN, -0.0]), Pose(Vec3(2, -0.0, 2.5), Q_ID)),
+        Example("g-1", np.array([1e-300, 12345678.9]), Pose(Vec3(SEVENTEEN, 100.0, 1e22), Q_X)),
+    ]
+    save_examples(tmp_path / "d.txt", examples, 2)
+    assert (tmp_path / "d.txt").read_bytes() == (
+        b"bayesreloc-data-v1 feature_dim=2\n"
+        b"# query_id tx ty tz qw qx qy qz f1..fD\n"
+        b"g-0 2.0 -0.0 2.5 1.0 0.0 0.0 0.0 0.30000000000000004 -0.0\n"
+        b"g-1 0.30000000000000004 100.0 1e+22 0.0 -1.0 0.0 0.0 1e-300 12345678.9\n"
+    )
+
+
+def test_query_table_bytes(tmp_path):
+    records = [
+        QueryRecord("q-0", Pose(Vec3(2, 0.5, -0.0), Q_ID), Pose(Vec3(SEVENTEEN, 0.5, 1.0), Q_X),
+                    0.25, 1.5, 0.02, 0.003, 0.4, 0.6, 0.5, 2),
+    ]
+    write_query_table(tmp_path / "q.tsv", EvalReport(records, EvalSummary(0.25, 1.5, {}, 8, 0, 1)))
+    assert (tmp_path / "q.tsv").read_bytes() == (
+        b"# bayesreloc-eval-v1\n"
+        b"query_id\ttrue_px\ttrue_py\ttrue_pz\ttrue_qw\ttrue_qx\ttrue_qy\ttrue_qz"
+        b"\test_px\test_py\test_pz\test_qw\test_qx\test_qy\test_qz"
+        b"\ttrans_error_m\trot_error_deg\ttrans_trace\trot_trace"
+        b"\tz_trans\tz_rot\tz_combined\tnn_feature_distance\n"
+        b"q-0\t2.0\t0.5\t-0.0\t1.0\t0.0\t0.0\t0.0"
+        b"\t0.30000000000000004\t0.5\t1.0\t0.0\t-1.0\t0.0\t0.0"
+        b"\t0.25\t1.5\t0.02\t0.003\t0.4\t0.6\t0.5\t2.0\n"
+    )
+
+
+def test_sweep_bytes(tmp_path):
+    rows = [SweepRow(0, 1.5, 0.0, 2, -0.0, 1), SweepRow(40, SEVENTEEN, 1e-05, 3.25, 0.125, 8)]
+    write_sweep(tmp_path / "s.tsv", SweepReport(rows, seed=7))
+    assert (tmp_path / "s.tsv").read_bytes() == (
+        b"# bayesreloc-sweep-v1 seed=7\n"
+        b"# repetitions re-randomize mask seeds only\n"
+        b"num_samples\tmean_median_trans_m\tstd_median_trans_m"
+        b"\tmean_median_rot_deg\tstd_median_rot_deg\trepetitions\n"
+        b"0\t1.5\t0.0\t2.0\t-0.0\t1\n"
+        b"40\t0.30000000000000004\t1e-05\t3.25\t0.125\t8\n"
+    )
+
+
+def test_histogram_bytes(tmp_path):
+    rows = [HistogramRow(-0.0, 0.0, 1 / 3), HistogramRow(5, SEVENTEEN, 1.0)]
+    write_histogram(tmp_path / "h.tsv", HistogramReport(rows, query_count=3))
+    assert (tmp_path / "h.tsv").read_bytes() == (
+        b"# bayesreloc-hist-v1 query_count=3\n"
+        b"threshold\tfrac_trans_le\tfrac_rot_le\n"
+        b"-0.0\t0.0\t0.3333333333333333\n"
+        b"5.0\t0.30000000000000004\t1.0\n"
+    )
+
+
+def test_confusion_text():
+    matrix = ConfusionMatrix(["a", "b"], np.array([[2, 0], [1, 1]]))
+    assert format_confusion(matrix) == (
+        "# bayesreloc-confusion-v1\n"
+        "true\\pred\ta\tb\n"
+        "a\t2\t0\n"
+        "b\t1\t1\n"
+        "accuracy 0.75\n"
+    )

@@ -40,7 +40,7 @@ from bayesreloc.regressor import (
     forward,
     pose_network,
 )
-from bayesreloc.seeding import derive_rng_grid, derive_seed
+from bayesreloc.seeding import derive_rngs, derive_seed
 
 IDENTITY_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -609,7 +609,7 @@ def test_grid_masks_keep_units_binomially():
     net = pose_network(32, (128, 128), 0.5, seed=34)
     masters = [0, 3, 2**32 - 1, 2**32, 2**63 - 1, *(derive_seed(35, q) for q in range(3))]
     rows = len(masters) * MAX_NUM_SAMPLES
-    masks = _mask_block(net, derive_rng_grid(masters, MAX_NUM_SAMPLES), rows)
+    masks = _mask_block(net, derive_rngs([(m,) for m in masters], 0, MAX_NUM_SAMPLES), rows)
     assert masks.shape == (rows, 256) and set(np.unique(masks)) <= {0.0, 1.0}
     p = net.dropout_p
     assert np.all(np.abs(masks.mean(axis=0) - (1.0 - p)) <= 4.0 * np.sqrt(p * (1.0 - p) / rows))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,25 @@ class TestSceneSpecValidation:
             _small_spec(yaw_range_deg=(30.0, -30.0))
         with pytest.raises(InvalidSpec):
             _small_spec(pitch_roll_std_deg=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("aliasing_period", math.inf),
+            ("aliasing_period", math.nan),
+            ("pitch_roll_std_deg", math.inf),
+            ("pitch_roll_std_deg", math.nan),
+            ("yaw_range_deg", (-math.inf, 0.0)),
+            ("yaw_range_deg", (0.0, math.inf)),
+            ("yaw_range_deg", (-math.inf, math.inf)),
+            ("yaw_range_deg", (math.nan, 0.0)),
+        ],
+    )
+    def test_rejects_non_finite_values(self, field, value):
+        # Accepted, these would reach scene.json as Infinity, which is not
+        # JSON, or fail only inside generate_scene.
+        with pytest.raises(InvalidSpec, match=field.split("_")[0]):
+            _small_spec(**{field: value})
 
 
 class TestFeatureMap:
@@ -337,6 +357,15 @@ class TestSceneSpecFiles:
         path = tmp_path / "scene.json"
         save_scene_spec(path, spec)
         assert load_scene_spec(path).aliasing_period is None
+
+    @pytest.mark.parametrize("field", ["aliasing_period", "pitch_roll_std_deg"])
+    @pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+    def test_rejects_non_finite_value(self, tmp_path, field, constant):
+        path = tmp_path / "scene.json"
+        save_scene_spec(path, _small_spec(aliasing_period=3.5))
+        path.write_text(re.sub(f'"{field}": [^,\n]*', f'"{field}": {constant}', path.read_text()))
+        with pytest.raises(InvalidSpec, match=field):
+            load_scene_spec(path)
 
     def test_wrong_format_tag(self, tmp_path):
         path = tmp_path / "scene.json"

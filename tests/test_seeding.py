@@ -1,9 +1,8 @@
 """Property tests: block stream derivation equals the one-path reference.
 
-``derive_rng`` is the reference; ``derive_rngs``, ``derive_rng_grid``, the
-mask blocks built on them and scene generation must reproduce it bit for
-bit, whatever the path values, the block boundaries or the word count of
-an index or a master seed.
+``derive_rng`` is the reference; ``derive_rngs``, the mask blocks built on
+it and scene generation must reproduce it bit for bit, whatever the path
+values, the block boundaries or the word count of an index or a prefix.
 """
 
 import numpy as np
@@ -11,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesreloc.regressor import draw_mask, draw_masks, pose_network
+import bayesreloc.seeding as seeding
+from bayesreloc.geometry import LossConfig, Pose, UnitQuaternion, Vec3
+from bayesreloc.mc_posterior import localize_batch
+from bayesreloc.regressor import TrainConfig, draw_mask, draw_masks, pose_network, train
 from bayesreloc.scenes import (
     _SPLIT_TAGS,
     FeatureMap,
@@ -19,7 +21,7 @@ from bayesreloc.scenes import (
     _sample_pose,
     generate_scene,
 )
-from bayesreloc.seeding import _MAX_ROWS, derive_rng, derive_rng_grid, derive_rngs
+from bayesreloc.seeding import _MAX_ROWS, derive_rng, derive_rngs
 
 # Values where SeedSequence's word split changes, plus values it only sees
 # after masking to 64 bits.
@@ -42,70 +44,104 @@ def _same_generator(got, want):
     np.testing.assert_array_equal(got.random(3), want.random(3))
 
 
+# Lists of prefixes whose paths take different SeedSequence word counts.
+prefix_lists = st.lists(st.lists(path_values, max_size=4), max_size=6)
+
+
+def _hash_shapes(monkeypatch):
+    """The entropy shape of every _pcg64_seeds call made from now on."""
+    shapes = []
+    real = seeding._pcg64_seeds
+    monkeypatch.setattr(seeding, "_pcg64_seeds", lambda e: shapes.append(e.shape) or real(e))
+    return shapes
+
+
 class TestDeriveRngs:
     @SETTINGS
-    @given(prefix=st.lists(path_values, max_size=4), start=starts, count=st.integers(0, 64))
-    def test_equals_derive_rng(self, prefix, start, count):
-        made = 0
-        for j, rng in enumerate(derive_rngs(prefix, start, count)):
-            _same_generator(rng, derive_rng(*prefix, start + j))
-            made += 1
-        assert made == count
+    @given(prefixes=prefix_lists, start=starts, count=st.integers(0, 64))
+    def test_equals_derive_rng(self, prefixes, start, count):
+        got = list(derive_rngs(prefixes, start, count))
+        want = [derive_rng(*p, start + j) for p in prefixes for j in range(count)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_generator(g, w)
 
     @SETTINGS
-    @given(seed=path_values, start=st.integers(2**32 - 64, 2**32 - 1), count=st.integers(1, 64))
-    def test_block_across_two_to_the_32(self, seed, start, count):
-        for j, rng in enumerate(derive_rngs((seed, 2), start, count)):
-            _same_generator(rng, derive_rng(seed, 2, start + j))
+    @given(
+        seeds=st.lists(path_values, min_size=1, max_size=4),
+        start=st.integers(2**32 - 64, 2**32 - 1),
+        count=st.integers(1, 64),
+    )
+    def test_block_across_two_to_the_32(self, seeds, start, count):
+        got = derive_rngs([(seed, 2) for seed in seeds], start, count)
+        for g, (seed, j) in zip(got, [(seed, j) for seed in seeds for j in range(count)], strict=True):
+            _same_generator(g, derive_rng(seed, 2, start + j))
 
     def test_long_block_hashed_in_pieces(self):
-        # Longer than one hash; check the rows around each piece boundary.
+        # Longer than two hashes per word count; (9, 1) and (7, 2) share a
+        # word count, so a hash also ends inside the second's rows.
+        prefixes = [(9, 1), (2**40, 1), (7, 2)]
         count = 2 * _MAX_ROWS + 5
-        checked = {0, _MAX_ROWS - 1, _MAX_ROWS, _MAX_ROWS + 1, 2 * _MAX_ROWS, count - 1}
-        made = 0
-        for j, rng in enumerate(derive_rngs((9, 1), 17, count)):
-            if j in checked:
-                _same_generator(rng, derive_rng(9, 1, 17 + j))
-            made += 1
-        assert made == count
+        got = derive_rngs(prefixes, 17, count)
+        for g, (p, j) in zip(got, [(p, j) for p in prefixes for j in range(count)], strict=True):
+            _same_generator(g, derive_rng(*p, 17 + j))
 
     def test_yields_lazily(self):
-        block = derive_rngs((3,), 0, 10)
+        block = derive_rngs([(3,)], 0, 10)
         assert iter(block) is block
         _same_generator(next(block), derive_rng(3, 0))
 
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError, match="count"):
-            list(derive_rngs((3,), 0, -1))
+            list(derive_rngs([(3,)], 0, -1))
 
     def test_rejects_non_integer_path(self):
         with pytest.raises(TypeError):
-            list(derive_rngs((1.5,), 0, 1))
-
-
-class TestDeriveRngGrid:
-    @SETTINGS
-    @given(masters=st.lists(path_values, max_size=6), count=st.integers(0, 40))
-    def test_equals_derive_rng(self, masters, count):
-        got = list(derive_rng_grid(masters, count))
-        want = [derive_rng(m, i) for m in masters for i in range(count)]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            _same_generator(g, w)
+            list(derive_rngs([(1.5,)], 0, 1))
 
     def test_one_hash_per_word_count(self, monkeypatch):
-        import bayesreloc.seeding as seeding
-
-        shapes = []
-        real = seeding._pcg64_seeds
-        monkeypatch.setattr(seeding, "_pcg64_seeds", lambda e: shapes.append(e.shape) or real(e))
-        list(derive_rng_grid([2**40, 3, 2**32 - 1, -1, 7], 4))
+        shapes = _hash_shapes(monkeypatch)
+        list(derive_rngs([(2**40,), (3,), (2**32 - 1,), (-1,), (7,)], 0, 4))
         assert shapes == [(2, 12), (3, 8)]
+        # Paths of three words, two of prefix and one of index or one and
+        # two, share one hash.
+        shapes.clear()
+        list(derive_rngs([(1, 2), (3,)], 2**32 - 2, 4))
+        assert sorted(shapes) == [(2, 2), (3, 4), (4, 2)]
+
+
+class TestHashCallsPerCaller:
+    """Each caller's traffic takes the fewest hashes its word counts allow:
+    one per training batch, one per _MAX_ROWS rows of a scene split and one
+    per word count of a Monte Carlo block."""
+
+    def test_training_hashes_once_per_batch(self, monkeypatch):
+        # Wide enough that no pass drops a whole layer.
+        net = pose_network(5, (32, 32), 0.5, seed=3)
+        pose = Pose(Vec3(1.0, 2.0, 0.5), UnitQuaternion(1.0, 0.0, 0.0, 0.0))
+        data = [(x, pose) for x in np.random.default_rng(0).normal(size=(70, 5))]
+        shapes = _hash_shapes(monkeypatch)
+        train(net, data, TrainConfig(1e-3, 32, 2, LossConfig(beta=50.0), seed=4))
+        assert shapes == [(2, 32), (2, 32), (2, 6)] * 2
+
+    def test_scene_hashes_a_split_in_max_rows_pieces(self, monkeypatch):
+        spec = SceneSpec(scene_id="calls", feature_dim=4, nuisance_dim=1, generator_seed=5)
+        shapes = _hash_shapes(monkeypatch)
+        generate_scene(spec, 2000, 8, 1)
+        assert shapes == [(3, _MAX_ROWS), (3, 2000 - _MAX_ROWS), (3, 8), (3, 1)]
+
+    def test_monte_carlo_block_hashes_once_per_word_count(self, monkeypatch):
+        net = pose_network(5, (32, 32), 0.5, seed=3)
+        masters = [0, 2**40, 3, 2**32, 2**32 - 1, 9]
+        X = np.random.default_rng(1).normal(size=(len(masters), 5))
+        shapes = _hash_shapes(monkeypatch)
+        localize_batch(net, X, masters, 40)
+        assert shapes == [(2, 160), (3, 80)]
 
 
 class TestPrecomputedSeedSequence:
     def _seed_seq(self):
-        return next(derive_rngs((11, 2**40), 5, 1)).bit_generator.seed_seq
+        return next(derive_rngs([(11, 2**40)], 5, 1)).bit_generator.seed_seq
 
     def test_serves_the_pcg64_request(self):
         state = self._seed_seq().generate_state(4, np.uint64)
