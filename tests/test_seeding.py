@@ -110,6 +110,20 @@ class TestDeriveRngs:
         assert sorted(shapes) == [(2, 2), (3, 4), (4, 2)]
 
 
+class TestDeriveRngGrid:
+    """The master-by-index grid batched Monte Carlo sampling draws: one-word
+    prefixes, indices from 0."""
+
+    @SETTINGS
+    @given(masters=st.lists(path_values, max_size=6), count=st.integers(0, 40))
+    def test_equals_derive_rng(self, masters, count):
+        got = list(derive_rngs([(m,) for m in masters], 0, count))
+        want = [derive_rng(m, i) for m in masters for i in range(count)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_generator(g, w)
+
+
 class TestHashCallsPerCaller:
     """Each caller's traffic takes the fewest hashes its word counts allow:
     one per training batch, one per _MAX_ROWS rows of a scene split and one
