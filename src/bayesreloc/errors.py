@@ -20,7 +20,8 @@ class InvalidArchitecture(BayesRelocError):
 
 
 class ShapeMismatch(BayesRelocError):
-    """An input vector or dropout mask does not match the network layout."""
+    """An input vector or dropout mask does not match the network layout,
+    or a sample set's position and quaternion rows do not match."""
 
 
 class NonFiniteLoss(BayesRelocError):

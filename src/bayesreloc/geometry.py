@@ -31,7 +31,7 @@ class Vec3:
     z: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
             raise ValueError(f"non-finite position component in {(self.x, self.y, self.z)!r}")
 
     def as_array(self) -> np.ndarray:

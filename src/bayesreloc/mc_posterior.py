@@ -4,24 +4,26 @@ Repeated stochastic forward passes through a dropout network give a cloud
 of pose hypotheses.  The point estimate is the sample mean (componentwise
 for position, hemisphere-aligned mean for orientation) and the uncertainty
 per channel is the trace of the sample covariance.  Sample sets and their
-statistics stay arrays; ``Vec3`` and ``UnitQuaternion`` appear only in
-the estimate handed back.
+statistics stay arrays; ``Vec3``, ``UnitQuaternion``, ``Pose`` and
+``UncertaintyEstimate`` are built only for a query handed back.
 
-``localize`` runs one query a pass at a time and is the reference.
-``localize_batch`` gives the same results, bit for bit, for many queries:
-the maskless trunk runs once per query, and blocks of passes share one
-mask hash and cross the dropout layers together.
+``localize`` samples one query a pass at a time and is the reference
+sampler.  ``localize_batch`` gives the same results, bit for bit, for
+many queries: the maskless trunk runs once per query, blocks of passes
+share one mask hash and cross the dropout layers together, and one array
+kernel computes the means and traces of every query in a block.
+``estimate`` is that kernel's one-query case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateQuaternion, ShapeMismatch
-from .geometry import NORM_FLOOR, Pose, UnitQuaternion, Vec3, hemisphere_aligned, normalize, quaternion_mean
+from .errors import BayesRelocError, DegenerateMean, DegenerateQuaternion, ShapeMismatch
+from .geometry import NORM_FLOOR, UNIT_TOL, Pose, UnitQuaternion, Vec3, hemisphere_aligned
 from .regressor import POSE_WIDTH, NetworkParams, _stochastic_passes, _trunk, draw_mask, forward
 
 # Scatter statistics stop improving noticeably past this many passes.
@@ -35,18 +37,28 @@ _BLOCK_ROWS = 256
 # scatter; the channel then reports exactly zero trace and the common row
 # as its mean (averaging bit-identical rows would drift by an ulp).
 IDENTICAL_TOL = 1e-12
+_QUATERNION_COLUMNS = np.arange(POSE_WIDTH) >= 3
 
 
 @dataclass(frozen=True)
 class PoseSampleSet:
     """Stochastic pose hypotheses for one query, one row per sample.
 
-    ``positions`` is (N, 3); ``quaternions`` is (N, 4), its rows unit norm
-    and hemisphere-aligned to row 0.
+    ``positions`` is (N, 3) and ``quaternions`` (N, 4), for one N >= 1;
+    as sampled, the quaternion rows are unit norm and hemisphere-aligned
+    to row 0.
     """
 
     positions: np.ndarray
     quaternions: np.ndarray
+
+    def __post_init__(self):
+        shapes = np.shape(self.positions), np.shape(self.quaternions)
+        n = shapes[0][:1]
+        if shapes != (n + (3,), n + (4,)):
+            raise ShapeMismatch(f"a sample set needs (N, 3) positions and (N, 4) quaternions, got {shapes}")
+        if n == (0,):
+            raise ValueError("a sample set needs at least one sample")
 
 
 @dataclass(frozen=True)
@@ -64,16 +76,32 @@ class UncertaintyEstimate:
     degenerate: bool = False
 
 
-def _unit_rows(raw: np.ndarray) -> np.ndarray:
-    """Raw quaternion rows scaled to unit norm, bit for bit as :func:`normalize` scales each."""
-    w, x, y, z = raw.T
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Norms of (..., 4) rows, summed left to right as :func:`normalize` sums."""
+    sq = rows * rows
+    return np.sqrt(((sq[..., 0] + sq[..., 1]) + sq[..., 2]) + sq[..., 3])
+
+
+def _unit_queries(raw: np.ndarray) -> tuple[np.ndarray, DegenerateQuaternion | None]:
+    """Raw (Q, N, 4) quaternion rows scaled to unit norm, bit for bit as
+    :func:`normalize` scales each, for the queries before the first row it
+    rejects; and the error it raises there, or None."""
     with np.errstate(over="ignore"):  # an infinite norm is rejected below
-        n = np.sqrt(w * w + x * x + y * y + z * z)
+        n = _norms(raw)
     usable = np.isfinite(n) & (n > NORM_FLOOR)
-    if not usable.all():
-        first = float(n[np.argmin(usable)])
-        raise DegenerateQuaternion(f"quaternion norm {first!r} is unusable (floor {NORM_FLOOR})")
-    return raw / n[:, None]
+    if usable.all():
+        return raw / n[..., None], None
+    q, i = np.unravel_index(np.argmin(usable), usable.shape)
+    error = DegenerateQuaternion(f"quaternion norm {float(n[q, i])!r} is unusable (floor {NORM_FLOOR})")
+    return raw[:q] / n[:q, :, None], error
+
+
+def _unit_rows(raw: np.ndarray) -> np.ndarray:
+    """One query's (N, 4) raw quaternion rows scaled to unit norm, as :func:`normalize` scales each."""
+    unit, error = _unit_queries(raw[None])
+    if error is not None:
+        raise error
+    return unit[0]
 
 
 def sample_posterior(
@@ -105,10 +133,78 @@ def _sample_set(outs: np.ndarray) -> PoseSampleSet:
     return PoseSampleSet(np.ascontiguousarray(outs[:, :3]), quaternions)
 
 
-def _canonical_sign(row: np.ndarray) -> UnitQuaternion:
-    """The rotation of a unit row, signed so its first nonzero component is positive."""
-    lead = row[row != 0.0]
-    return UnitQuaternion.from_array(-row if lead.size and lead[0] < 0.0 else row)
+class _BlockStatistics(NamedTuple):
+    """The statistics of a block of Q queries of N samples each, as arrays."""
+
+    rows: np.ndarray  # (Q, N, 7), each query's quaternions aligned to its row 0
+    trans_mean: np.ndarray  # (Q, 3)
+    rot_mean: np.ndarray  # (Q, 4), sign-canonical; garbage where errors has the query
+    trans_trace: np.ndarray  # (Q,)
+    rot_trace: np.ndarray  # (Q,)
+    degenerate: np.ndarray  # (Q,) bool
+    errors: dict[int, BayesRelocError]  # what the rotation mean raises, by query
+
+
+def _block_statistics(block: np.ndarray) -> _BlockStatistics:
+    """The statistics :func:`estimate` reports for each query of a (Q, N, 7)
+    block of positions and unit quaternions, bit for bit.
+
+    Every reduction keeps the order of the one-query numpy calls it
+    replaces: sums and means run down the sample axis, the hemisphere dot
+    and the mean's norm are stacked matmuls (a gemv and a dot per query),
+    and :func:`normalize` is replayed component by component.
+    """
+    count = block.shape[1]
+    quats = block[..., 3:]
+    flip = (quats @ quats[:, 0, :, None] < 0.0) & _QUATERNION_COLUMNS
+    rows = np.where(flip, -block, block)
+    spread = np.abs(rows - rows[:, :1]).max(axis=1)
+    pos_identical = spread[:, :3].max(axis=1) <= IDENTICAL_TOL
+    rot_identical = spread[:, 3:].max(axis=1) <= IDENTICAL_TOL
+    mean = np.add.reduce(rows, axis=1) / count
+
+    # A rotation is the renormalized mean, or an identical set's first row
+    # normalized; a norm either would reject raises at its query.
+    rot = mean[:, 3:]
+    norm = np.sqrt(rot[:, None] @ rot[:, :, None])[:, 0, 0]
+    fault = norm <= UNIT_TOL
+    if rot_identical.any():
+        rot = np.where(rot_identical[:, None], rows[:, 0, 3:], rot)
+        norm = np.where(rot_identical, _norms(rows[:, 0, 3:]), norm)
+        fault = np.where(rot_identical, ~(np.isfinite(norm) & (norm > NORM_FLOOR)), fault)
+    errors: dict[int, BayesRelocError] = {}
+    for q in np.flatnonzero(fault).tolist():
+        n = float(norm[q])
+        if rot_identical[q]:
+            errors[q] = DegenerateQuaternion(f"quaternion norm {n!r} is unusable (floor {NORM_FLOOR})")
+        else:
+            errors[q] = DegenerateMean(f"aligned quaternion mean has norm {n!r}")
+        norm[q] = 1.0  # the query raises; this keeps its division quiet
+    rot = rot / norm[:, None]
+    lead = rot[np.arange(len(rot)), np.argmax(rot != 0.0, axis=1)]
+    rot = np.where(lead[:, None] < 0.0, -rot, rot)
+
+    # A single sample is identical to itself, so its zero traces do not
+    # depend on the denominator.
+    d = rows - mean[:, None]
+    var = np.add.reduce(d * d, axis=1) / max(count - 1, 1)
+    trans_trace = np.where(pos_identical, 0.0, var[:, :3].sum(axis=1))
+    rot_trace = np.where(rot_identical, 0.0, var[:, 3:].sum(axis=1))
+    trans_mean = np.where(pos_identical[:, None], rows[:, 0, :3], mean[:, :3])
+    degenerate = (trans_trace == 0.0) & (rot_trace == 0.0)
+    return _BlockStatistics(rows, trans_mean, rot, trans_trace, rot_trace, degenerate, errors)
+
+
+def _estimates(block: np.ndarray) -> Iterator[UncertaintyEstimate]:
+    """The :func:`estimate` of each query of a block, built when it is
+    reached, so a query that raises does so after the ones before it."""
+    s = _block_statistics(block)
+    queries = zip(*(a.tolist() for a in (s.trans_mean, s.rot_mean, s.trans_trace, s.rot_trace, s.degenerate)))
+    for q, (trans_mean, rot_mean, trans_trace, rot_trace, degenerate) in enumerate(queries):
+        position = Vec3(*trans_mean)
+        if q in s.errors:
+            raise s.errors[q]
+        yield UncertaintyEstimate(trans_trace, rot_trace, position, UnitQuaternion(*rot_mean), degenerate)
 
 
 def estimate(samples: PoseSampleSet) -> UncertaintyEstimate:
@@ -117,23 +213,11 @@ def estimate(samples: PoseSampleSet) -> UncertaintyEstimate:
     Traces use the N-1 denominator.  The rotation channel is the trace of
     the 4x4 covariance of the aligned quaternion components; the returned
     mean orientation is sign-canonicalized, so flipping signs of any input
-    samples never changes the estimate.
+    samples never changes the estimate.  This is the one-query case of the
+    block statistics that batched localization computes.
     """
-    positions = samples.positions
-    quats = hemisphere_aligned(samples.quaternions)
-    pos_identical = bool(np.max(np.abs(positions - positions[0])) <= IDENTICAL_TOL)
-    rot_identical = bool(np.max(np.abs(quats - quats[0])) <= IDENTICAL_TOL)
-
-    trans_mean = Vec3.from_array(positions[0] if pos_identical else positions.mean(axis=0))
-    rot_row = (normalize(quats[0]) if rot_identical else quaternion_mean(quats)).as_array()
-    rot_mean = _canonical_sign(rot_row)
-
-    if len(positions) < 2:
-        return UncertaintyEstimate(0.0, 0.0, trans_mean, rot_mean, degenerate=True)
-    trans_trace = 0.0 if pos_identical else float(positions.var(axis=0, ddof=1).sum())
-    rot_trace = 0.0 if rot_identical else float(quats.var(axis=0, ddof=1).sum())
-    degenerate = trans_trace == 0.0 and rot_trace == 0.0
-    return UncertaintyEstimate(trans_trace, rot_trace, trans_mean, rot_mean, degenerate=degenerate)
+    block = np.concatenate((samples.positions, samples.quaternions), axis=1, dtype=float)
+    return next(_estimates(block[None]))
 
 
 def estimate_determinant(samples: PoseSampleSet) -> tuple[float, float]:
@@ -157,11 +241,7 @@ def localize(
     master_seed: int = 0,
 ) -> tuple[Pose, UncertaintyEstimate]:
     """Sample, average, and score one query in a single call."""
-    return _localized(sample_posterior(net, x, num_samples, master_seed))
-
-
-def _localized(samples: PoseSampleSet) -> tuple[Pose, UncertaintyEstimate]:
-    est = estimate(samples)
+    est = estimate(sample_posterior(net, x, num_samples, master_seed))
     return Pose(est.trans_mean, est.rot_mean), est
 
 
@@ -176,8 +256,9 @@ def localize_batch(
     error at the same first query.
 
     The maskless trunk runs once per query, the masks of a block of
-    queries are hashed together, and a block's passes cross the dropout
-    layers as one stack of rows; see ``_stochastic_passes``.
+    queries are hashed together, a block's passes cross the dropout
+    layers as one stack of rows (see ``_stochastic_passes``), and the
+    block's statistics are computed as arrays in one call.
     """
     return list(_localize_stream(net, X, master_seeds, num_samples))
 
@@ -209,7 +290,11 @@ def _localize_stream(
         seeds = [seed for _, seed in queries[start : start + len(trunks)]]
         if trunks:
             outs = _stochastic_passes(net, np.array(trunks), seeds, num_samples)
-            for q in range(len(trunks)):
-                yield _localized(_sample_set(outs[q * num_samples : (q + 1) * num_samples]))
+            outs = outs.reshape(len(trunks), num_samples, POSE_WIDTH)
+            # A degenerate pass comes before any bad input after it.
+            quats, degenerate = _unit_queries(outs[..., 3:])
+            error = degenerate or error
+            for est in _estimates(np.concatenate((outs[: len(quats), :, :3], quats), axis=2)):
+                yield Pose(est.trans_mean, est.rot_mean), est
         if error is not None:
             raise error

@@ -11,8 +11,10 @@ layers end to end, in layer order.  ``draw_mask`` is the reference
 derivation of one row, drawn once per pass by one-query Monte Carlo
 sampling; ``draw_masks`` hashes a training batch's seeds together and
 gives the same rows as one block, and batched Monte Carlo sampling
-draws the rows of a block of queries the same way.  One layer loop
-serves every pass, and ``train`` stacks the dataset into arrays once.
+draws the rows of a block of queries the same way; that block's pass
+outputs come back as one query-major array, which ``mc_posterior``
+reduces to every query's statistics in one call.  One layer loop serves
+every pass, and ``train`` stacks the dataset into arrays once.
 """
 
 from __future__ import annotations

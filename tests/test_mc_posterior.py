@@ -2,9 +2,10 @@
 
 The array code is checked bit for bit against the per-sample code it
 replaced (one ``normalize`` and one ``UnitQuaternion`` per pass), kept
-here as the reference, and ``localize_batch`` against a loop of
-``localize`` calls.  Moment tests check both against the mathematics of
-inverted dropout.
+here as the reference: the block statistics query by query, and
+``localize_batch`` against a loop of per-pass sampling and reference
+estimates.  Moment tests check ``localize`` and ``localize_batch``
+against the mathematics of inverted dropout.
 """
 
 import re
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_regressor import _fast_path_nets
 
-from bayesreloc.errors import DegenerateQuaternion, ShapeMismatch
-from bayesreloc.geometry import UnitQuaternion, Vec3, normalize
+from bayesreloc.errors import DegenerateMean, DegenerateQuaternion, ShapeMismatch
+from bayesreloc.geometry import UNIT_TOL, Pose, UnitQuaternion, Vec3, normalize
 from bayesreloc.mc_posterior import (
     DEFAULT_NUM_SAMPLES,
     IDENTICAL_TOL,
@@ -24,6 +25,8 @@ from bayesreloc.mc_posterior import (
     PoseSampleSet,
     UncertaintyEstimate,
     _BLOCK_ROWS,
+    _block_statistics,
+    _estimates,
     _unit_rows,
     estimate,
     estimate_determinant,
@@ -88,17 +91,17 @@ def _reference_sample_posterior(net, x, num_samples, master_seed):
     return PoseSampleSet(positions, quaternions)
 
 
-def _reference_quaternion_mean(samples):
-    """Sequential sum of UnitQuaternions flipped toward the first one."""
-    ref = samples[0]
+def _reference_quaternion_mean(rows):
+    """Sequential sum of quaternion rows flipped toward the first one."""
     acc = np.zeros(4)
-    for q in samples:
-        v = q.as_array()
-        if q.dot(ref) < 0.0:
-            v = -v
-        acc += v
-    acc /= len(samples)
-    return UnitQuaternion.from_array(acc / float(np.linalg.norm(acc)))
+    for v in rows:
+        w, x, y, z = (a * b for a, b in zip(v.tolist(), rows[0].tolist()))
+        acc += -v if w + x + y + z < 0.0 else v
+    acc /= len(rows)
+    n = float(np.linalg.norm(acc))
+    if n <= UNIT_TOL:
+        raise DegenerateMean(f"aligned quaternion mean has norm {n!r}")
+    return UnitQuaternion.from_array(acc / n)
 
 
 def _reference_canonical_sign(q):
@@ -111,7 +114,7 @@ def _reference_canonical_sign(q):
 
 
 def _reference_estimate(samples):
-    """The estimate built from one UnitQuaternion per sample."""
+    """The estimate built one quaternion row at a time."""
     positions = samples.positions
     n = len(positions)
     quats = np.array(samples.quaternions, dtype=float)
@@ -123,9 +126,7 @@ def _reference_estimate(samples):
     if rot_identical:
         rot_mean = _reference_canonical_sign(normalize(quats[0]))
     else:
-        rot_mean = _reference_canonical_sign(
-            _reference_quaternion_mean([UnitQuaternion.from_array(row) for row in quats])
-        )
+        rot_mean = _reference_canonical_sign(_reference_quaternion_mean(quats))
     if n < 2:
         return UncertaintyEstimate(0.0, 0.0, trans_mean, rot_mean, degenerate=True)
     trans_trace = 0.0 if pos_identical else float(positions.var(axis=0, ddof=1).sum())
@@ -146,10 +147,12 @@ def _bits(est):
 
 
 @st.composite
-def sample_sets(draw):
-    """Clouds of 1 to 128 samples: scattered, with identical positions or
-    rotations or both, at several spreads, with or without sign flips."""
-    n = draw(st.integers(1, MAX_NUM_SAMPLES))
+def sample_sets(draw, n=None):
+    """Clouds of 1 to 128 samples (or n): scattered, with identical
+    positions or rotations or both, at several spreads, with or without
+    sign flips."""
+    if n is None:
+        n = draw(st.integers(1, MAX_NUM_SAMPLES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spread = draw(st.sampled_from([1e-9, 1e-3, 0.1, 1.0, 10.0]))
     positions = rng.normal(size=3) + spread * rng.normal(size=(n, 3))
@@ -221,6 +224,89 @@ class TestArrayPathMatchesReference:
                 _unit_rows(raw)
             return
         assert _unit_rows(raw).tobytes() == want.tobytes()
+
+
+def _cancelling_set(n, position=0.0):
+    """n samples whose aligned quaternion mean is exactly zero: a zero first
+    row (so nothing flips), then opposite pairs, then a zero row if one is
+    left over.  One or two rows are all zero, an identical set that
+    normalize rejects.  A NaN position is rejected before the rotation."""
+    quats = np.zeros((n, 4))
+    pairs = (n - 1) // 2
+    quats[1 : 1 + pairs] = [0.0, 0.6, 0.0, 0.8]
+    quats[1 + pairs : 1 + 2 * pairs] = [0.0, -0.6, 0.0, -0.8]
+    return PoseSampleSet(np.full((n, 3), position), quats)
+
+
+@st.composite
+def blocks(draw):
+    """1 to 64 sample sets of one size, one of them cancelling or none."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 3, 4, 40, MAX_NUM_SAMPLES]), st.integers(1, MAX_NUM_SAMPLES)))
+    sets = draw(st.lists(sample_sets(n), min_size=1, max_size=64))
+    cancel_at = draw(st.one_of(st.none(), st.integers(0, len(sets) - 1)))
+    if cancel_at is not None:
+        sets[cancel_at] = _cancelling_set(n, draw(st.sampled_from([0.0, np.nan])))
+    return sets
+
+
+def _block_of(sets):
+    return np.stack([np.concatenate((s.positions, s.quaternions), axis=1) for s in sets])
+
+
+def _outcomes(estimates):
+    """The bits of each estimate up to the first error, then the error's type and text."""
+    out = []
+    try:
+        for est in estimates:
+            out.append(_bits(est))
+    except Exception as e:
+        out.append((type(e), str(e)))
+    return out
+
+
+class TestBlockStatistics:
+    """The block kernel against the per-query reference estimate."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sets=blocks())
+    def test_every_query_matches_reference_estimate(self, sets):
+        block = _block_of(sets)
+        want = _outcomes(_reference_estimate(s) for s in sets)
+        assert _outcomes(_estimates(block)) == want
+        aligned = _block_statistics(block).rows
+        for s, rows in zip(sets, aligned):
+            quats = s.quaternions.copy()
+            flip = quats @ quats[0] < 0.0
+            quats[flip] = -quats[flip]
+            assert rows[:, :3].tobytes() == s.positions.tobytes()
+            assert np.ascontiguousarray(rows[:, 3:]).tobytes() == quats.tobytes()
+
+    def test_error_comes_after_the_queries_before_it(self):
+        rng = np.random.default_rng(5)
+        sets = [_cloud(rng, 6), _cloud(rng, 6), _cancelling_set(6), _cloud(rng, 6)]
+        stream = _estimates(_block_of(sets))
+        assert [_bits(next(stream)) for _ in range(2)] == [_bits(estimate(s)) for s in sets[:2]]
+        with pytest.raises(DegenerateMean, match="aligned quaternion mean has norm 0.0"):
+            next(stream)
+
+    @pytest.mark.parametrize("n, error", [(1, DegenerateQuaternion), (2, DegenerateQuaternion), (5, DegenerateMean)])
+    def test_cancelling_set(self, n, error):
+        with pytest.raises(error):
+            estimate(_cancelling_set(n))
+
+
+class TestPoseSampleSet:
+    @pytest.mark.parametrize(
+        "positions, quaternions",
+        [((5, 3), (4, 4)), ((4, 3), (5, 4)), ((4, 2), (4, 4)), ((4, 3), (4, 3)), ((4, 3, 1), (4, 4)), ((3,), (1, 4))],
+    )
+    def test_shapes_must_share_one_count(self, positions, quaternions):
+        with pytest.raises(ShapeMismatch, match="sample set"):
+            PoseSampleSet(np.zeros(positions), np.ones(quaternions))
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            PoseSampleSet(np.zeros((0, 3)), np.zeros((0, 4)))
 
 
 class TestSamplePosterior:
@@ -484,8 +570,17 @@ def _result_bits(result):
     return tuple(float(v).hex() for v in floats), _bits(est)
 
 
-def _loop(net, X, seeds, num_samples):
+def _localize_loop(net, X, seeds, num_samples):
     return [localize(net, x, num_samples, s) for x, s in zip(X, seeds)]
+
+
+def _loop(net, X, seeds, num_samples):
+    """localize one pass and one estimate at a time, by the reference code."""
+    out = []
+    for x, s in zip(X, seeds):
+        est = _reference_estimate(_reference_sample_posterior(net, x, num_samples, s))
+        out.append((Pose(est.trans_mean, est.rot_mean), est))
+    return out
 
 
 def _outcome(fn, *args):
@@ -508,7 +603,7 @@ master_seeds = st.one_of(
 
 
 class TestLocalizeBatch:
-    """localize_batch must equal the loop of localize calls it replaces."""
+    """localize_batch must equal a loop of per-pass reference localizations."""
 
     @settings(deadline=None)
     @given(
@@ -570,7 +665,7 @@ def _last_layer_net():
     return net
 
 
-@pytest.mark.parametrize("run", [_loop, localize_batch], ids=["localize", "localize_batch"])
+@pytest.mark.parametrize("run", [_localize_loop, localize_batch], ids=["localize", "localize_batch"])
 class TestDropoutMoments:
     """With dropout only before a linear last layer, y = W (m * a) / (1 - p) + b
     has mean W a + b, the maskless output, and variance
@@ -601,6 +696,34 @@ class TestDropoutMoments:
         traces = np.array([est.trans_trace for _, est in results])
         se = traces.std(ddof=1) / np.sqrt(self.QUERIES)
         assert abs(traces.mean() - variance.sum()) <= 4.0 * se
+
+
+@pytest.mark.parametrize("run", [_localize_loop, localize_batch], ids=["localize", "localize_batch"])
+def test_bench_placement_trace_reaches_the_last_layer_term(run):
+    """Dropout masks m1 before a ReLU hidden layer and m2 before the identity
+    head, as pose_network places them (Gal & Ghahramani 2016; Postels et
+    al. 2019).  By the law of total variance, Var y = E[Var(y | m1)] +
+    Var E[y | m1] >= E[Var(y | m1)], and given m1 the head is the last-layer
+    case of TestDropoutMoments: Var(y_i | m1) = p / (1 - p) * sum_j W_ij^2
+    h_j(m1)^2, h the hidden activation.  Each translation trace is unbiased
+    for sum_i Var y_i, so their mean must reach a Monte Carlo estimate of
+    the expectation over m1 less 4 combined standard errors (central limit
+    theorem)."""
+    queries, samples, draws = 200, 128, 20_000
+    net = pose_network(16, (64, 64), 0.5, seed=36)
+    net.layers[-1].bias[:] = [0.3, -0.2, 0.1, 1.0, 0.0, 0.0, 0.0]
+    x = np.random.default_rng(37).normal(size=16)
+    seeds = [derive_seed(38, q) for q in range(queries)]
+    traces = np.array([est.trans_trace for _, est in run(net, [x] * queries, seeds, samples)])
+
+    trunk, hidden, head = net.layers
+    p = net.dropout_p
+    a = np.maximum(trunk.weights @ x + trunk.bias, 0.0)
+    keep = np.random.default_rng(39).random((draws, a.size)) >= p
+    h = np.maximum((keep * a / (1.0 - p)) @ hidden.weights.T + hidden.bias, 0.0)
+    conditional = p / (1.0 - p) * (h**2 @ (head.weights[:3] ** 2).T).sum(axis=1)
+    se = np.hypot(traces.std(ddof=1) / np.sqrt(queries), conditional.std(ddof=1) / np.sqrt(draws))
+    assert traces.mean() >= conditional.mean() - 4.0 * se
 
 
 def test_grid_masks_keep_units_binomially():
