@@ -12,18 +12,21 @@ network maps a foreign input close to its final-layer bias, where traces
 are small, so foreign inputs would look confident.  Calibrations fitted
 without positions have no pose trend, and their detection score is the
 scene-level :func:`~bayesreloc.calibration.z_score`.
+
+:func:`detect` is the one-query case of :func:`confusion`: both run every
+model's queries through one batched Monte Carlo stream per model.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .calibration import CalibrationModel, ZScore, detection_score
-from .mc_posterior import DEFAULT_NUM_SAMPLES, _localize_stream, localize
+from .mc_posterior import DEFAULT_NUM_SAMPLES, _localize_stream
 from .regressor import NetworkParams
 from .seeding import derive_seed
 
@@ -76,12 +79,28 @@ def detect(
     Each model's Monte Carlo seed derives from (master_seed, scene_id), so
     reordering the model list permutes scores without changing them.
     """
+    return next(_detections(models, [x], [master_seed], num_samples))
+
+
+def _detections(models: Sequence[SceneModel], X, masters, num_samples: int) -> Iterator[DetectionResult]:
+    """Yield :func:`detect` of each query of ``X`` at its master seed.
+
+    Each model localizes every query as one stream, and the streams are
+    read query by query, model by model, so an error surfaces where a
+    loop of :func:`detect` calls would raise it.  The lowest combined
+    percentile wins, and the earliest model on a tie.
+    """
     _check_models(models)
-    scores = []
-    for model in models:
-        _, est = localize(model.network, x, num_samples, _model_seed(master_seed, model))
-        scores.append((model.scene_id, detection_score(model.calibration, est)))
-    return _decide(scores)
+    streams = [
+        _localize_stream(m.network, X, [derive_seed(s, _scene_tag(m.scene_id)) for s in masters], num_samples)
+        for m in models
+    ]
+    for _ in masters:
+        scores = [(m.scene_id, detection_score(m.calibration, next(st)[1])) for m, st in zip(models, streams)]
+        values = [s.combined for _, s in scores]
+        best = min(range(len(values)), key=lambda i: values[i])
+        tie = any(i != best and values[i] == values[best] for i in range(len(values)))
+        yield DetectionResult(scene_id=scores[best][0], scores=scores, tie=tie)
 
 
 def _check_models(models: Sequence[SceneModel]) -> None:
@@ -90,18 +109,6 @@ def _check_models(models: Sequence[SceneModel]) -> None:
     ids = [m.scene_id for m in models]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate scene ids in model list: {ids}")
-
-
-def _model_seed(master_seed: int, model: SceneModel) -> int:
-    return derive_seed(master_seed, _scene_tag(model.scene_id))
-
-
-def _decide(scores: list[tuple[str, ZScore]]) -> DetectionResult:
-    """The lowest combined percentile wins; the earliest on a tie."""
-    values = [s.combined for _, s in scores]
-    best = min(range(len(values)), key=lambda i: values[i])
-    tie = any(i != best and values[i] == values[best] for i in range(len(values)))
-    return DetectionResult(scene_id=scores[best][0], scores=scores, tie=tie)
 
 
 @dataclass(frozen=True)
@@ -134,40 +141,31 @@ def confusion(
     """Classify every query of every scene; rows index the true scene.
 
     ``test_sets`` maps scene_id to that scene's query feature vectors.
-    Every scene appearing there must have a model.  Each query's result is
-    the one :func:`detect` gives with master seed (seed, scene_id, query
-    index); every model localizes all queries as one batch.
+    Every scene appearing there must have a model, and there must be at
+    least one query.  Each query's result is the one :func:`detect` gives
+    with master seed (seed, scene_id, query index).
     """
     ids = [m.scene_id for m in models]
     index = {sid: i for i, sid in enumerate(ids)}
     for sid in test_sets:
         if sid not in index:
             raise ValueError(f"no model for scene {sid!r}")
-
-    counts = np.zeros((len(ids), len(ids)), dtype=int)
     queries = [
         (index[sid], derive_seed(seed, _scene_tag(sid), qi), x)
         for sid, xs in test_sets.items()
         for qi, x in enumerate(xs)
     ]
+    if not queries:
+        raise ValueError("no queries to classify")
+
+    counts = np.zeros((len(ids), len(ids)), dtype=int)
     if len(models) == 1:
         # A lone candidate matches every query; there is nothing to score against.
         counts[0, 0] = len(queries)
-    elif queries:
-        _check_models(models)
+    else:
         truth, masters, X = zip(*queries)
-        # The streams are read query by query, model by model, so an error
-        # surfaces where detect would raise it.
-        streams = [
-            _localize_stream(m.network, X, [_model_seed(s, m) for s in masters], num_samples)
-            for m in models
-        ]
-        for t in truth:
-            scores = [
-                (m.scene_id, detection_score(m.calibration, next(stream)[1]))
-                for m, stream in zip(models, streams)
-            ]
-            counts[t, index[_decide(scores).scene_id]] += 1
+        for t, result in zip(truth, _detections(models, X, masters, num_samples)):
+            counts[t, index[result.scene_id]] += 1
     return ConfusionMatrix(ids, counts)
 
 

@@ -32,6 +32,10 @@ EVAL_TABLE_FORMAT = "bayesreloc-eval-v1"
 SUMMARY_FORMAT = "bayesreloc-report-v2"
 SWEEP_FORMAT = "bayesreloc-sweep-v1"
 HIST_FORMAT = "bayesreloc-hist-v1"
+MEDIAN_CONVENTION = "lower"  # stats.median_low: medians are never interpolated
+# Repetitions re-randomize the Monte Carlo mask seeds only; the scene
+# and the network stay fixed.
+SWEEP_NOTE = "repetitions re-randomize mask seeds only"
 
 _TABLE_COLUMNS = (
     "query_id",
@@ -67,7 +71,6 @@ class EvalSummary:
     num_samples: int
     seed: int
     query_count: int
-    median_convention: str = "lower"
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,6 @@ class SweepRow:
 class SweepReport:
     rows: list[SweepRow]
     seed: int
-    # Repetitions re-randomize the Monte Carlo mask seeds only; the scene
-    # and the network stay fixed.
-    note: str = "repetitions re-randomize mask seeds only"
 
 
 @dataclass(frozen=True)
@@ -408,7 +408,7 @@ def write_summary(path: str | os.PathLike, report: EvalReport) -> None:
         "format": SUMMARY_FORMAT,
         "median_trans_error_m": s.median_trans_error,
         "median_rot_error_deg": s.median_rot_error_deg,
-        "median_convention": s.median_convention,
+        "median_convention": MEDIAN_CONVENTION,
         "correlations": s.correlations,
         "num_samples": s.num_samples,
         "seed": s.seed,
@@ -419,7 +419,7 @@ def write_summary(path: str | os.PathLike, report: EvalReport) -> None:
 def write_sweep(path: str | os.PathLike, sweep: SweepReport) -> None:
     head = [
         f"# {SWEEP_FORMAT} seed={sweep.seed}",
-        f"# {sweep.note}",
+        f"# {SWEEP_NOTE}",
         "num_samples\tmean_median_trans_m\tstd_median_trans_m"
         "\tmean_median_rot_deg\tstd_median_rot_deg\trepetitions",
     ]

@@ -7,12 +7,12 @@ per channel is the trace of the sample covariance.  Sample sets and their
 statistics stay arrays; ``Vec3``, ``UnitQuaternion``, ``Pose`` and
 ``UncertaintyEstimate`` are built only for a query handed back.
 
-``localize`` samples one query a pass at a time and is the reference
-sampler.  ``localize_batch`` gives the same results, bit for bit, for
-many queries: the maskless trunk runs once per query, blocks of passes
-share one mask hash and cross the dropout layers together, and one array
-kernel computes the means and traces of every query in a block.
-``estimate`` is that kernel's one-query case.
+``localize`` samples one query a pass at a time: the reference sampler
+and the timed online path.  ``localize_batch`` gives the same results,
+bit for bit, for many queries: the maskless trunk runs once per query,
+blocks of passes share one mask hash and cross the dropout layers
+together, and one array kernel (``estimate`` is its one-query case)
+computes each block's means and traces.  Detection reads such streams.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line pipeline and its exit codes."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -450,6 +451,33 @@ class TestDataErrors:
         ])
         assert code == EXIT_DATA
         capsys.readouterr()
+
+    @pytest.mark.parametrize("scenes", [("alpha",), ("alpha", "beta")])
+    def test_detect_without_queries(self, pipeline, tmp_path, capsys, scenes):
+        # Every test split is cut to its two header lines: there is nothing
+        # to classify, so no confusion matrix (and no file) comes out.
+        net = str(pipeline["net"])
+        data = {"alpha": tmp_path / "alpha", "beta": tmp_path / "beta"}
+        cal = {"alpha": str(pipeline["cal"]), "beta": str(tmp_path / "beta.cal")}
+        shutil.copytree(pipeline["data"], data["alpha"])
+        if "beta" in scenes:
+            assert cli([
+                "gen", "--scene-id", "beta", "--seed", "4", "--train", "4", "--calib", "12",
+                "--test", "3", "--out", str(data["beta"]),
+            ]) == EXIT_OK
+            assert cli([
+                "calibrate", "--net", net, "--data", str(data["beta"]), "--samples", "4",
+                "--seed", "5", "--out", cal["beta"],
+            ]) == EXIT_OK
+        for sid in scenes:
+            test = data[sid] / "test.txt"
+            test.write_text("".join(test.read_text().splitlines(keepends=True)[:2]))
+            assert load_dataset(data[sid]).test == []
+        out = tmp_path / "confusion.txt"
+        argv = [arg for sid in scenes for arg in ("--scene", sid, net, cal[sid], str(data[sid]))]
+        assert cli(["detect", *argv, "--samples", "4", "--out", str(out)]) == EXIT_DATA
+        assert "no queries to classify" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNumericErrors:

@@ -54,6 +54,63 @@ class TestSceneModel:
             SceneModel("roof", _toy_net(), _calibration("lobby"))
 
 
+def _reference_detect(models, x, num_samples, master_seed):
+    """detect() as one localize call per model: (scores, winner, tie), where
+    the winner is the first model with the lowest combined percentile."""
+    ids = [m.scene_id for m in models]
+    if len(models) < 2:
+        raise ValueError(f"need at least 2 scene models, got {len(models)}")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate scene ids in model list: {ids}")
+    scores = []
+    for m in models:
+        _, est = localize(m.network, x, num_samples, derive_seed(master_seed, _scene_tag(m.scene_id)))
+        scores.append((m.scene_id, detection_score(m.calibration, est)))
+    values = [score.combined for _, score in scores]
+    best = int(np.argmin(values))
+    return scores, ids[best], values.count(values[best]) > 1
+
+
+def _reference_confusion(models, test_sets, num_samples, seed):
+    """The one-detection-per-query loop confusion() must reproduce."""
+    ids = [m.scene_id for m in models]
+    index = {sid: i for i, sid in enumerate(ids)}
+    for sid in test_sets:
+        if sid not in index:
+            raise ValueError(f"no model for scene {sid!r}")
+    if not any(len(queries) for queries in test_sets.values()):
+        raise ValueError("no queries to classify")
+    counts = np.zeros((len(ids), len(ids)), dtype=int)
+    for sid, queries in test_sets.items():
+        for qi, x in enumerate(queries):
+            if len(models) == 1:
+                counts[0, 0] += 1
+                continue
+            _, winner, _ = _reference_detect(models, x, num_samples, derive_seed(seed, _scene_tag(sid), qi))
+            counts[index[sid], index[winner]] += 1
+    return counts
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _detect_outcome(*args):
+    result = detect(*args)
+    return result.scores, result.scene_id, result.tie
+
+
+def _confusion_outcome(fn, *args):
+    counts = _outcome(fn, *args)
+    if isinstance(counts, tuple):
+        return counts
+    return np.asarray(getattr(counts, "counts", counts)).tolist()
+
+
 class TestDetect:
     def test_needs_two_models(self):
         with pytest.raises(ValueError):
@@ -157,6 +214,33 @@ class TestDetect:
             assert int(np.argmin(transform(values))) == base
         assert result.scene_id == result.scores[base][0]
 
+    @pytest.mark.parametrize("num_samples", [1, 40, 128])
+    def test_equals_localize_loop(self, num_samples):
+        models = [_toy_model("a", seed=1), _toy_model("b", seed=2), _toy_model("c", seed=4)]
+        twins = [SceneModel(sid, _toy_net(p=0.0), _calibration(sid)) for sid in ("a", "b")]
+        wide = models[:2] + [SceneModel("c", _toy_net(input_width=7), _calibration("c"))]
+        narrow = [SceneModel("a", _toy_net(input_width=5), _calibration("a"))] + wide[1:]
+        cases = [(models, x) for x in np.random.default_rng(79).normal(size=(6, 6))] + [
+            (twins, np.ones(6)),
+            (models[:2] + [_toy_model("a", seed=5)], np.zeros(6)),
+            (models, np.full(6, np.nan)),
+            (models, np.ones(5)),
+            # The last model fails on this input; the first two fail on the
+            # next, each with its own message.
+            (wide, np.zeros(6)),
+            (narrow, np.ones(7)),
+        ]
+        outcomes = []
+        for master_seed, (candidates, x) in enumerate(cases):
+            want = _outcome(_reference_detect, candidates, x, num_samples, master_seed)
+            assert _outcome(_detect_outcome, candidates, x, num_samples, master_seed) == want
+            outcomes.append(want)
+        assert outcomes[6][1:] == ("a", True)
+        names = [kind.__name__ for kind, _ in outcomes[7:]]
+        assert names == ["ValueError", "DegenerateQuaternion"] + ["ShapeMismatch"] * 3
+        assert outcomes[-2][1] == "input shape (6,) does not match network input (7,)"
+        assert outcomes[-1][1] == "input shape (7,) does not match network input (5,)"
+
 
 class TestConfusionMatrix:
     def test_shape_validation(self):
@@ -187,6 +271,19 @@ class TestConfusionMatrix:
         assert m.counts[1].sum() == 4
         assert np.all(m.counts >= 0)
 
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("empty_lists", [False, True])
+    def test_no_queries(self, monkeypatch, count, empty_lists):
+        models = [_toy_model("a", seed=1), _toy_model("b", seed=2)][:count]
+        test_sets = {m.scene_id: [] for m in models} if empty_lists else {}
+
+        def refuse(*args):
+            raise AssertionError("a model ran")
+
+        monkeypatch.setattr("bayesreloc.detector._localize_stream", refuse)
+        with pytest.raises(ValueError, match="^no queries to classify$"):
+            confusion(models, test_sets, num_samples=6, seed=0)
+
     def test_unknown_scene_in_test_sets(self):
         models = [_toy_model("a", seed=1), _toy_model("b", seed=2)]
         with pytest.raises(ValueError):
@@ -202,32 +299,6 @@ class TestConfusionMatrix:
         assert lines[3].split("\t") == ["south", "0", "4"]
         assert lines[4].startswith("accuracy ")
         assert float(lines[4].split()[1]) == m.accuracy
-
-
-def _reference_confusion(models, test_sets, num_samples, seed):
-    """The one-detect-per-query loop confusion() must reproduce."""
-    ids = [m.scene_id for m in models]
-    index = {sid: i for i, sid in enumerate(ids)}
-    for sid in test_sets:
-        if sid not in index:
-            raise ValueError(f"no model for scene {sid!r}")
-    counts = np.zeros((len(ids), len(ids)), dtype=int)
-    for sid, queries in test_sets.items():
-        for qi, x in enumerate(queries):
-            if len(models) == 1:
-                counts[0, 0] += 1
-                continue
-            result = detect(models, x, num_samples, derive_seed(seed, _scene_tag(sid), qi))
-            counts[index[sid], index[result.scene_id]] += 1
-    return counts
-
-
-def _confusion_outcome(fn, *args):
-    try:
-        counts = fn(*args)
-    except Exception as e:
-        return type(e), str(e)
-    return np.asarray(getattr(counts, "counts", counts)).tolist()
 
 
 class TestConfusionEqualsDetectLoop:
@@ -257,6 +328,7 @@ class TestConfusionEqualsDetectLoop:
         duplicate = models[:2] + [_toy_model("a", seed=5)]
         assert self._check(duplicate, test_sets)[0] is ValueError
         assert self._check(models, {"d": [np.zeros(6)]})[0] is ValueError
+        assert self._check(models, {"a": [], "c": []}) == (ValueError, "no queries to classify")
         test_sets["c"][2] = np.full(6, np.nan)
         assert self._check(models, test_sets)[0].__name__ == "DegenerateQuaternion"
         test_sets["a"][5] = np.ones(5)
@@ -267,6 +339,14 @@ class TestConfusionEqualsDetectLoop:
         test_sets = self._test_sets()
         test_sets["a"][4] = np.ones(7)
         assert self._check(wide, test_sets)[1] == "input shape (6,) does not match network input (7,)"
+        # This query fails on the last two models, each with its own message;
+        # the earlier model's is raised.
+        mixed = [
+            SceneModel(sid, _toy_net(input_width=w), _calibration(sid))
+            for sid, w in (("a", 7), ("b", 5), ("c", 6))
+        ]
+        want = "input shape (7,) does not match network input (5,)"
+        assert self._check(mixed, {"c": [np.ones(7)]})[1] == want
 
 
 @pytest.fixture(scope="module")

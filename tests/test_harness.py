@@ -170,7 +170,6 @@ class TestRunEval:
         rerr = [r.rot_error_deg for r in report.records]
         assert report.summary.median_trans_error == median_low(terr)
         assert report.summary.median_rot_error_deg == median_low(rerr)
-        assert report.summary.median_convention == "lower"
 
     def test_correlations_recompute_from_records(self, report):
         terr = [r.trans_error for r in report.records]
