@@ -103,7 +103,7 @@ def table_rows(texts, start: int, width: int, sep: str | None = None):
         if len(parts) != width:
             raise ParseError(f"expected {width} fields, got {len(parts)}", line=lineno)
         try:
-            values = [float(v) for v in parts[1:]]
+            values = list(map(float, parts[1:]))
         except ValueError as e:
             raise ParseError(str(e), line=lineno) from e
         if not all(map(math.isfinite, values)):

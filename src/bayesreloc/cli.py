@@ -246,7 +246,7 @@ def _cmd_train(args) -> int:
         )
     except ValueError as e:
         raise _UsageError(f"--lr, --momentum or --beta: {e}") from e
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, splits=("train",))
     net = pose_network(dataset.spec.feature_dim, hidden, args.dropout, args.seed)
     examples = [(ex.features, ex.pose) for ex in dataset.train]
     result = train(net, examples, config)
@@ -260,7 +260,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     net = load_checkpoint(args.net)
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, splits=("calib",))
     model = run_calibration(net, dataset, args.samples, args.seed)
     save_calibration(args.out, model)
     print(
@@ -280,7 +280,8 @@ def _load_scene_model(net_path: str, cal_path: str, scene_id: str) -> SceneModel
 
 
 def _cmd_eval(args) -> int:
-    dataset = load_dataset(args.data)
+    # The nearest-neighbour distances need the train split.
+    dataset = load_dataset(args.data, splits=("train", "test"))
     model = _load_scene_model(args.net, args.cal, dataset.spec.scene_id)
     report = run_eval(model, dataset, args.samples, args.seed)
     write_summary(args.out + ".summary.json", report)
@@ -302,7 +303,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as e:
         raise _UsageError(f"--counts: {e}") from e
     net = load_checkpoint(args.net)
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, splits=("test",))
     sweep = run_sweep(net, dataset, counts, args.reps, args.seed)
     write_sweep(args.out, sweep)
     print(f"swept counts {swept} with {args.reps} repetitions; wrote {args.out}")
@@ -327,7 +328,7 @@ def _cmd_detect(args) -> int:
     test_sets = {}
     for scene_id, net_path, cal_path, data_dir in args.scene:
         models.append(_load_scene_model(net_path, cal_path, scene_id))
-        dataset = load_dataset(data_dir)
+        dataset = load_dataset(data_dir, splits=("test",))
         if dataset.spec.scene_id != scene_id:
             raise ParseError(
                 f"dataset at {data_dir} is for scene {dataset.spec.scene_id!r}, not {scene_id!r}"
@@ -343,7 +344,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_time(args) -> int:
     net = load_checkpoint(args.net)
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, splits=("test",))
     report = run_timing(net, dataset, args.samples, args.seed, args.min_queries)
     line = (
         f"{report.query_count} queries at {report.num_samples} samples: "

@@ -122,6 +122,10 @@ class ConfusionMatrix:
         s = len(self.scene_ids)
         if self.counts.shape != (s, s):
             raise ValueError(f"counts shape {self.counts.shape} does not match {s} scenes")
+        if (self.counts < 0).any():
+            raise ValueError("counts must not be negative")
+        if not self.counts.any():
+            raise ValueError("counts must hold at least one query")
 
     @property
     def total(self) -> int:

@@ -269,6 +269,8 @@ def run_sweep(
     come out sorted by count with mean and population-std of the per-
     repetition medians.
     """
+    if len(dataset.test) == 0:
+        raise ValueError("dataset needs a non-empty test split")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     counts = _sweep_counts(sample_counts)

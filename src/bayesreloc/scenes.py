@@ -321,19 +321,28 @@ def save_dataset(dirpath: str | os.PathLike, dataset: SceneDataset) -> None:
         )
 
 
-def load_dataset(dirpath: str | os.PathLike) -> SceneDataset:
-    """Read a dataset directory written by save_dataset."""
+def load_dataset(
+    dirpath: str | os.PathLike, *, splits: Sequence[str] = ("train", "calib", "test")
+) -> SceneDataset:
+    """Read a dataset directory written by save_dataset: scene.json and
+    the named split files only.  A split not named is not opened and
+    comes back as an empty list; a name other than train, calib or test
+    raises ValueError.  Each split read must match the scene's feature_dim."""
+    unknown = sorted(set(splits).difference(_SPLIT_TAGS))
+    if unknown:
+        raise ValueError(f"unknown splits {unknown}, expected some of {list(_SPLIT_TAGS)}")
     spec = load_scene_spec(os.path.join(dirpath, "scene.json"))
-    splits = {}
-    for split in ("train", "calib", "test"):
-        feature_dim, examples = load_examples(os.path.join(dirpath, f"{split}.txt"))
+    loaded = {split: [] for split in _SPLIT_TAGS}
+    for split in _SPLIT_TAGS:
+        if split not in splits:
+            continue
+        feature_dim, loaded[split] = load_examples(os.path.join(dirpath, f"{split}.txt"))
         if feature_dim != spec.feature_dim:
             raise ParseError(
                 f"{split} split feature_dim {feature_dim} does not match scene {spec.feature_dim}",
                 line=1,
             )
-        splits[split] = examples
-    return SceneDataset(spec, splits["train"], splits["calib"], splits["test"])
+    return SceneDataset(spec, loaded["train"], loaded["calib"], loaded["test"])
 
 
 def nearest_neighbour_pose(

@@ -479,6 +479,76 @@ class TestDataErrors:
         assert "no queries to classify" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_without_queries(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        test = data / "test.txt"
+        test.write_text("".join(test.read_text().splitlines(keepends=True)[:2]))
+        out = tmp_path / "sweep.tsv"
+        code = cli([
+            "sweep", "--net", str(pipeline["net"]), "--data", str(data),
+            "--counts", "1,3", "--reps", "1", "--out", str(out),
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "data error: dataset needs a non-empty test split\n"
+        assert not out.exists()
+
+
+# The split files each command reads from --data.
+_SPLITS_READ = {
+    "train": ("train",),
+    "calibrate": ("calib",),
+    "eval": ("train", "test"),
+    "sweep": ("test",),
+    "time": ("test",),
+    "detect": ("test",),
+}
+
+
+def _run_on(command, pipeline, data, out):
+    """Run one command on the dataset directory ``data``; returns its exit
+    code and the files it wrote whose bytes depend only on the inputs."""
+    net, cal = str(pipeline["net"]), str(pipeline["cal"])
+    argv = {
+        "train": ["--data", str(data), "--hidden", "24,24", "--epochs", "3", "--seed", "3"],
+        "calibrate": ["--net", net, "--data", str(data), "--samples", "8", "--seed", "4"],
+        "eval": ["--net", net, "--cal", cal, "--data", str(data), "--samples", "4", "--seed", "9"],
+        "sweep": ["--net", net, "--data", str(data), "--counts", "1,3", "--reps", "1", "--seed", "5"],
+        "time": ["--net", net, "--data", str(data), "--samples", "4", "--min-queries", "3"],
+        "detect": ["--scene", "alpha", net, cal, str(data), "--samples", "4", "--seed", "2"],
+    }[command]
+    code = cli([command, *argv, "--out", str(out)])
+    if command == "eval":
+        written = [out.with_name(out.name + suffix) for suffix in (".summary.json", ".queries.tsv")]
+    elif command == "time":
+        written = []  # its output holds wall-clock readings
+    else:
+        written = [out]
+    return code, [path.read_bytes() for path in written if path.exists()]
+
+
+class TestSplitsRead:
+    @pytest.mark.parametrize("command", sorted(_SPLITS_READ))
+    def test_unread_split_files_may_be_missing(self, pipeline, tmp_path, capsys, command):
+        full = _run_on(command, pipeline, pipeline["data"], tmp_path / "full")
+        assert full[0] == EXIT_OK
+        part = tmp_path / "part"
+        shutil.copytree(pipeline["data"], part)
+        for split in {"train", "calib", "test"} - set(_SPLITS_READ[command]):
+            (part / f"{split}.txt").unlink()
+        assert _run_on(command, pipeline, part, tmp_path / "part_out") == full
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, split", [(c, s) for c in sorted(_SPLITS_READ) for s in _SPLITS_READ[c]]
+    )
+    def test_read_split_file_must_exist(self, pipeline, tmp_path, capsys, command, split):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        (data / f"{split}.txt").unlink()
+        assert _run_on(command, pipeline, data, tmp_path / "out") == (EXIT_DATA, [])
+        assert f"{split}.txt" in capsys.readouterr().err
+
 
 class TestNumericErrors:
     def test_divergent_training_exits_three(self, pipeline, capsys):

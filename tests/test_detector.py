@@ -247,6 +247,15 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError):
             ConfusionMatrix(["a", "b"], np.zeros((3, 3), dtype=int))
 
+    def test_rejects_all_zero_counts(self):
+        # Its accuracy would be 0 / 0.
+        with pytest.raises(ValueError, match="at least one query"):
+            ConfusionMatrix(["a", "b"], np.zeros((2, 2), dtype=int))
+
+    def test_rejects_negative_counts(self):
+        with pytest.raises(ValueError, match="negative"):
+            ConfusionMatrix(["a", "b"], np.array([[-1, 2], [0, 3]]))
+
     def test_accuracy_is_trace_over_total(self):
         m = ConfusionMatrix(["a", "b"], np.array([[8, 2], [1, 9]]))
         assert m.total == 20

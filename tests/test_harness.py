@@ -250,6 +250,15 @@ class TestRunSweep:
             run_sweep(model, dataset, [1, MAX_NUM_SAMPLES + 1], repetitions=1, seed=6)
         assert calls == []
 
+    def test_empty_test_split_rejected_before_any_pass(self, model, dataset, monkeypatch):
+        calls = []
+        for name in ("localize", "localize_batch", "_maskless_pose"):
+            monkeypatch.setattr(harness, name, lambda *args: calls.append(args))
+        bad = dataclasses.replace(dataset, test=[])
+        with pytest.raises(ValueError, match="^dataset needs a non-empty test split$"):
+            run_sweep(model, bad, [1, 4], repetitions=1, seed=6)
+        assert calls == []
+
     def test_medians_match_localize_loop(self, model, dataset):
         sweep = run_sweep(model, dataset, [3, 40], repetitions=2, seed=6)
         for row in sweep.rows[1:]:

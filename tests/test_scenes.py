@@ -430,6 +430,50 @@ class TestDatasetDirectory:
         with pytest.raises(ParseError):
             load_dataset(tmp_path / "scene")
 
+    def test_default_reads_every_split(self, tmp_path):
+        ds = generate_scene(_small_spec(), n_train=12, n_calib=8, n_test=9)
+        save_dataset(tmp_path / "scene", ds)
+        back = load_dataset(tmp_path / "scene")
+        for split in ("train", "calib", "test"):
+            for orig, loaded in zip(getattr(ds, split), getattr(back, split), strict=True):
+                assert loaded.query_id == orig.query_id
+                assert np.array_equal(loaded.features, orig.features)
+
+    @pytest.mark.parametrize("splits", [("val",), ("train", "Test"), "test"])
+    def test_unknown_split_name_raises(self, tmp_path, splits):
+        ds = generate_scene(_small_spec(), n_train=10, n_calib=8, n_test=8)
+        save_dataset(tmp_path / "scene", ds)
+        with pytest.raises(ValueError, match="unknown splits"):
+            load_dataset(tmp_path / "scene", splits=splits)
+
+    @pytest.mark.parametrize("split", ["train", "calib", "test"])
+    def test_split_read_checks_feature_dim(self, tmp_path, split):
+        ds = generate_scene(_small_spec(), n_train=10, n_calib=8, n_test=8)
+        save_dataset(tmp_path / "scene", ds)
+        narrow = generate_scene(_small_spec(feature_dim=6), n_train=10, n_calib=8, n_test=8)
+        save_examples(tmp_path / "scene" / f"{split}.txt", getattr(narrow, split), 6)
+        with pytest.raises(ParseError, match=f"{split} split feature_dim 6 does not match scene 8"):
+            load_dataset(tmp_path / "scene", splits=(split,))
+        others = tuple(s for s in ("train", "calib", "test") if s != split)
+        assert getattr(load_dataset(tmp_path / "scene", splits=others), split) == []
+
+    @pytest.mark.parametrize(
+        "splits", [(), ("train",), ("calib",), ("test",), ("train", "test"), ("test", "train", "test")]
+    )
+    def test_split_not_named_is_not_opened(self, tmp_path, splits):
+        ds = generate_scene(_small_spec(), n_train=10, n_calib=8, n_test=9)
+        save_dataset(tmp_path / "scene", ds)
+        for split in ("train", "calib", "test"):
+            if split not in splits:
+                (tmp_path / "scene" / f"{split}.txt").unlink()
+        back = load_dataset(tmp_path / "scene", splits=splits)
+        assert back.spec == ds.spec
+        for split in ("train", "calib", "test"):
+            expected = [ex.query_id for ex in getattr(ds, split)] if split in splits else []
+            assert [ex.query_id for ex in getattr(back, split)] == expected
+        with pytest.raises(FileNotFoundError):
+            load_dataset(tmp_path / "scene")
+
 
 class TestNearestNeighbourPose:
     def test_exact_match_has_zero_distance(self):
