@@ -1,5 +1,6 @@
 """Tests for synthetic scene generation and the dataset file format."""
 
+import hashlib
 import json
 import math
 import re
@@ -237,6 +238,52 @@ class TestGenerateScene:
             generate_scene(_small_spec(), n_train=0, n_calib=8, n_test=5)
         with pytest.raises(InvalidSpec):
             generate_scene(_small_spec(), n_train=5, n_calib=7, n_test=5)
+
+
+# SHA-256 of save_dataset's four files, each prefixed by its name and a NUL,
+# written by the per-example generator these digests were first taken
+# from.  The specs cover the survey-skewed train split across block edges
+# (256, 512, 1024 rows), a 40-bit seed, aliasing, the noiseless
+# injectivity check, no nuisance inputs, a custom extent with full yaw and
+# no pitch/roll, and a fixed yaw.
+GOLDEN_DATASETS = [
+    (dict(scene_id="g0", generator_seed=0), (40, 8, 12),
+     "e42aeb15f91584a2ead5e681072c911f99a835cc73494cd5eaf5f5f5aa5ba1d8"),
+    (dict(scene_id="g5", generator_seed=5, feature_dim=8, nuisance_dim=2), (300, 9, 20),
+     "40082e351babed91c1e78d58555b598eda99d017cf287abd9c28677f71a1fa8e"),
+    (dict(scene_id="gbig", generator_seed=2**40 + 7), (30, 8, 10),
+     "584861d5c7cc59b01665f802e1b1d5bbe6ff67faf38a7d0912054434adc0b25b"),
+    (dict(scene_id="alias", generator_seed=4, aliasing_period=17.0), (60, 8, 10),
+     "d1a1fe5564f8c02d82ed8afd8f5d41c04a36e5ddebb86a5dc47c0d01dd48a2d5"),
+    (dict(scene_id="quiet", generator_seed=6, noise_sigma=0.0, feature_dim=6, nuisance_dim=1), (120, 8, 5),
+     "5fe06edbc52b2330d558d1d913631767bbbe9f83c3b2d5fd2c9263e774139b11"),
+    (dict(scene_id="bare", generator_seed=7, nuisance_dim=0, feature_dim=8), (50, 8, 6),
+     "d90f758bc50909cd7c18de33a3655c54c7350e8848111aa89d26c2d334884272"),
+    (dict(scene_id="room", generator_seed=8, extent=((-3.0, 4.5), (10.0, 11.0), (-1.0, 0.25)),
+          yaw_range_deg=(-180.0, 180.0), pitch_roll_std_deg=0.0, feature_dim=5), (45, 10, 8),
+     "a47baf281eb550443bf26b4f2271feaddeacdd9f730e0ea47bff6b8e6d73ce7b"),
+    (dict(scene_id="long", generator_seed=9, feature_dim=4, nuisance_dim=1, noise_sigma=0.5), (1100, 8, 2),
+     "8998da3f2c12efcf97871ef12052dfbfc2f981e331d2a954d8e2927ffdc397e1"),
+    (dict(scene_id="flat", generator_seed=10, yaw_range_deg=(30.0, 30.0), aliasing_period=2.5,
+          noise_sigma=0.0, feature_dim=4), (20, 8, 257),
+     "f5fffa7421c08d37c1898ee2d769282986afaad7980c2cc9f9794e039ce19715"),
+]
+
+
+def _dataset_digest(path):
+    h = hashlib.sha256()
+    for name in ("scene.json", "train.txt", "calib.txt", "test.txt"):
+        h.update(name.encode() + b"\0" + (path / name).read_bytes())
+    return h.hexdigest()
+
+
+class TestGoldenDatasets:
+    @pytest.mark.parametrize(
+        "fields, counts, digest", GOLDEN_DATASETS, ids=[f["scene_id"] for f, _, _ in GOLDEN_DATASETS]
+    )
+    def test_saved_bytes(self, tmp_path, fields, counts, digest):
+        save_dataset(tmp_path, generate_scene(SceneSpec(**fields), *counts))
+        assert _dataset_digest(tmp_path) == digest
 
 
 class TestDatasetFiles:
