@@ -113,6 +113,32 @@ def normalize(q_raw: Sequence[float]) -> UnitQuaternion:
     return UnitQuaternion(w / n, x / n, y / n, z / n)
 
 
+def quaternion_norms(rows: np.ndarray) -> np.ndarray:
+    """Norms of (..., 4) rows, each summed left to right as :func:`normalize` sums it."""
+    sq = rows * rows
+    return np.sqrt(((sq[..., 0] + sq[..., 1]) + sq[..., 2]) + sq[..., 3])
+
+
+def normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, DegenerateQuaternion | None]:
+    """The array twin of :func:`normalize`: raw (K, ..., 4) rows scaled to
+    unit norm, bit for bit as :func:`normalize` scales each.
+
+    Returns the scaled rows and None, or, when some row has a norm
+    :func:`normalize` rejects, the scaled rows of the leading entries
+    before the one holding the first such row (in C order) and the error
+    :func:`normalize` raises on that row.
+    """
+    with np.errstate(over="ignore"):  # an infinite norm is rejected below
+        n = quaternion_norms(raw)
+    usable = np.isfinite(n) & (n > NORM_FLOOR)
+    if usable.all():
+        return raw / n[..., None], None
+    first = np.unravel_index(np.argmin(usable), usable.shape)
+    error = DegenerateQuaternion(f"quaternion norm {float(n[first])!r} is unusable (floor {NORM_FLOOR})")
+    k = first[0]
+    return raw[:k] / n[:k, ..., None], error
+
+
 def pose_loss(predicted: Sequence[float], target: Pose, config: LossConfig) -> float:
     """Position error plus beta-weighted orientation error.
 

@@ -13,7 +13,7 @@ import numpy as np
 from ._files import open_text, table_rows, write_json, write_table
 from .calibration import CalibrationModel, calibrate, z_score
 from .detector import SceneModel
-from .errors import ParseError, ShapeMismatch
+from .errors import InsufficientVariance, ParseError, ShapeMismatch
 from .geometry import (
     Pose,
     UnitQuaternion,
@@ -24,7 +24,7 @@ from .geometry import (
 )
 from .mc_posterior import DEFAULT_NUM_SAMPLES, MAX_NUM_SAMPLES, localize, localize_batch
 from .regressor import NetworkParams, forward
-from .scenes import SceneDataset, nearest_neighbour_pose
+from .scenes import SceneDataset, nearest_neighbours
 from .seeding import derive_seed
 from .stats import median_low, pearson, spearman
 
@@ -141,10 +141,19 @@ def run_calibration(
 
     Query qi draws its masks from ``derive_seed(seed, qi)``.  Each query's
     predicted (mean) position goes with its traces, so the model carries
-    the pose trend that :func:`detection_score` uses.
+    the pose trend that :func:`detection_score` uses.  A query whose
+    samples show no scatter in a channel (a zero trace, which no gamma
+    fits) raises InsufficientVariance naming it and the sample count.
     """
     _check_feature_dim(net, dataset)
     ests = [est for _, est in _localize_split(net, dataset.calib, num_samples, seed)]
+    for ex, est in zip(dataset.calib, ests):
+        for channel, trace in (("translation", est.trans_trace), ("rotation", est.rot_trace)):
+            if trace == 0.0:
+                raise InsufficientVariance(
+                    f"calib query {ex.query_id} has no Monte Carlo scatter in its {channel} trace "
+                    f"over {num_samples} samples"
+                )
     traces = [(est.trans_trace, est.rot_trace) for est in ests]
     return calibrate(traces, dataset.spec.scene_id, [est.trans_mean for est in ests])
 
@@ -177,10 +186,11 @@ def run_eval(
     _check_feature_dim(net, dataset)
 
     train_emb = np.stack([ex.features for ex in dataset.train])
+    localized = list(_localize_split(net, dataset.test, num_samples, seed))
+    _, nn_dists = nearest_neighbours(train_emb, np.stack([ex.features for ex in dataset.test]))
     records = []
-    for ex, (pose, est) in zip(dataset.test, _localize_split(net, dataset.test, num_samples, seed)):
+    for ex, (pose, est), nn_dist in zip(dataset.test, localized, nn_dists.tolist()):
         score = z_score(model.calibration, est)
-        _, nn_dist = nearest_neighbour_pose(dataset.train, ex.features, train_emb)
         records.append(
             QueryRecord(
                 query_id=ex.query_id,

@@ -23,7 +23,16 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import BayesRelocError, DegenerateMean, DegenerateQuaternion, ShapeMismatch
-from .geometry import NORM_FLOOR, UNIT_TOL, Pose, UnitQuaternion, Vec3, hemisphere_aligned
+from .geometry import (
+    NORM_FLOOR,
+    UNIT_TOL,
+    Pose,
+    UnitQuaternion,
+    Vec3,
+    hemisphere_aligned,
+    normalize_rows,
+    quaternion_norms,
+)
 from .regressor import POSE_WIDTH, NetworkParams, _stochastic_passes, _trunk, draw_mask, forward
 
 # Scatter statistics stop improving noticeably past this many passes.
@@ -76,29 +85,9 @@ class UncertaintyEstimate:
     degenerate: bool = False
 
 
-def _norms(rows: np.ndarray) -> np.ndarray:
-    """Norms of (..., 4) rows, summed left to right as :func:`normalize` sums."""
-    sq = rows * rows
-    return np.sqrt(((sq[..., 0] + sq[..., 1]) + sq[..., 2]) + sq[..., 3])
-
-
-def _unit_queries(raw: np.ndarray) -> tuple[np.ndarray, DegenerateQuaternion | None]:
-    """Raw (Q, N, 4) quaternion rows scaled to unit norm, bit for bit as
-    :func:`normalize` scales each, for the queries before the first row it
-    rejects; and the error it raises there, or None."""
-    with np.errstate(over="ignore"):  # an infinite norm is rejected below
-        n = _norms(raw)
-    usable = np.isfinite(n) & (n > NORM_FLOOR)
-    if usable.all():
-        return raw / n[..., None], None
-    q, i = np.unravel_index(np.argmin(usable), usable.shape)
-    error = DegenerateQuaternion(f"quaternion norm {float(n[q, i])!r} is unusable (floor {NORM_FLOOR})")
-    return raw[:q] / n[:q, :, None], error
-
-
 def _unit_rows(raw: np.ndarray) -> np.ndarray:
     """One query's (N, 4) raw quaternion rows scaled to unit norm, as :func:`normalize` scales each."""
-    unit, error = _unit_queries(raw[None])
+    unit, error = normalize_rows(raw[None])
     if error is not None:
         raise error
     return unit[0]
@@ -170,7 +159,7 @@ def _block_statistics(block: np.ndarray) -> _BlockStatistics:
     fault = norm <= UNIT_TOL
     if rot_identical.any():
         rot = np.where(rot_identical[:, None], rows[:, 0, 3:], rot)
-        norm = np.where(rot_identical, _norms(rows[:, 0, 3:]), norm)
+        norm = np.where(rot_identical, quaternion_norms(rows[:, 0, 3:]), norm)
         fault = np.where(rot_identical, ~(np.isfinite(norm) & (norm > NORM_FLOOR)), fault)
     errors: dict[int, BayesRelocError] = {}
     for q in np.flatnonzero(fault).tolist():
@@ -292,7 +281,7 @@ def _localize_stream(
             outs = _stochastic_passes(net, np.array(trunks), seeds, num_samples)
             outs = outs.reshape(len(trunks), num_samples, POSE_WIDTH)
             # A degenerate pass comes before any bad input after it.
-            quats, degenerate = _unit_queries(outs[..., 3:])
+            quats, degenerate = normalize_rows(outs[..., 3:])
             error = degenerate or error
             for est in _estimates(np.concatenate((outs[: len(quats), :, :3], quats), axis=2)):
                 yield Pose(est.trans_mean, est.rot_mean), est

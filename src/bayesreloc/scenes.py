@@ -4,10 +4,18 @@ A scene is a fixed random nonlinear map from camera pose (plus nuisance
 variables) to a feature vector.  Regressing the inverse of that map is
 the localization task; different generator seeds give visually unrelated
 "buildings" for scene recognition experiments.
+
+Scenes are generated a block of examples at a time: each example draws
+from its own stream, and the pose encoding and feature map then run on
+the whole block (``FeatureMap.__call__`` and ``encode_pose`` are their
+one-row cases).  ``nearest_neighbours`` finds the nearest training row
+of many queries by a pruned exact scan; ``nearest_neighbour_pose`` is
+its one-query case.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
@@ -18,7 +26,7 @@ import numpy as np
 
 from ._files import field, numbers, open_text, read_json, table_rows, write_json, write_table
 from .errors import DegenerateQuaternion, InvalidSpec, ParseError, ShapeMismatch
-from .geometry import Pose, Vec3, normalize
+from .geometry import Pose, UnitQuaternion, Vec3, normalize, normalize_rows
 from .seeding import derive_rng, derive_rngs
 
 DATA_FORMAT = "bayesreloc-data-v1"
@@ -51,6 +59,13 @@ _TRAIN_DENSE_SPAN = 0.5
 # coverage near the query's x, which ties heading difficulty to the same
 # survey sparsity that drives position difficulty.
 _ORIENT_TWIST = 1.5
+# Examples generated as one block: bounds the block's arrays (the feature
+# map's hidden layer is 512 bytes a row at the default widths).
+_BLOCK_EXAMPLES = 256
+# Queries whose nearest training rows are searched together.  It bounds
+# the (queries, rows) arrays of bounds: 64 queries against 2,000 rows
+# raised peak memory by about 4 MB, 8 left it flat.
+_NN_BLOCK_QUERIES = 8
 
 
 @dataclass(frozen=True)
@@ -114,7 +129,9 @@ class FeatureMap:
 
     Input is the 7-component pose encoding (extent-normalized position,
     with x wrapped modulo the aliasing period when one is set, plus the
-    unit quaternion) concatenated with the nuisance values.
+    unit quaternion) concatenated with the nuisance values.  The map
+    works on blocks of rows (``encode_poses`` and ``features``); calling
+    it and ``encode_pose`` are the one-row cases.
     """
 
     def __init__(self, spec: SceneSpec):
@@ -128,30 +145,40 @@ class FeatureMap:
         self.w2 = rng.normal(size=(spec.feature_dim, hidden)) / math.sqrt(hidden)
         self.b2 = rng.uniform(-0.1, 0.1, size=spec.feature_dim)
 
-    def encode_pose(self, pose: Pose) -> np.ndarray:
-        (x0, x1), (y0, y1), (z0, z1) = self.spec.extent
-        xr = pose.position.x - x0
+    def encode_poses(self, positions: np.ndarray, quaternions: np.ndarray) -> np.ndarray:
+        """(N, 7) encodings of (N, 3) positions and (N, 4) unit quaternions.
+
+        The reference heading's cosine and sine are taken row by row with
+        ``math``: numpy's vectorised ones may differ from libm by an ulp.
+        """
+        lo, hi = np.array(self.spec.extent).T
+        t = positions - lo
         if self.spec.aliasing_period is not None:
-            xr = xr % self.spec.aliasing_period
-        q = pose.orientation
-        tx = xr / (x1 - x0)
-        ty = (pose.position.y - y0) / (y1 - y0)
-        tz = (pose.position.z - z0) / (z1 - z0)
+            t[:, 0] %= self.spec.aliasing_period
+        t /= hi - lo
         # Compose the orientation with the local reference heading: a yaw
         # of 2*psi, applied as the unit quaternion (cos psi, 0, 0, sin psi).
-        psi = _ORIENT_TWIST * tx
-        c, s = math.cos(psi), math.sin(psi)
-        return np.array(
-            [
-                _POSITION_GAIN * (tx - _POSITION_CENTER),
-                _POSITION_GAIN * (ty - _POSITION_CENTER),
-                _POSITION_GAIN * (tz - _POSITION_CENTER),
-                c * q.w - s * q.z,
-                c * q.x - s * q.y,
-                s * q.x + c * q.y,
-                s * q.w + c * q.z,
-            ]
+        turns = [(math.cos(psi), math.sin(psi)) for psi in (_ORIENT_TWIST * t[:, 0]).tolist()]
+        c, s = np.array(turns).reshape(-1, 2).T
+        w, x, y, z = quaternions.T
+        return np.column_stack(
+            (_POSITION_GAIN * (t - _POSITION_CENTER), c * w - s * z, c * x - s * y, s * x + c * y, s * w + c * z)
         )
+
+    def encode_pose(self, pose: Pose) -> np.ndarray:
+        return self.encode_poses(pose.position.as_array()[None], pose.orientation.as_array()[None])[0]
+
+    def features(self, encodings: np.ndarray, nuisance: np.ndarray) -> np.ndarray:
+        """Noise-free (N, feature_dim) features of (N, 7) pose encodings and
+        (N, nuisance_dim) nuisance rows.
+
+        The layers are stacked matmuls on (N, width, 1) columns, one
+        matrix-vector product per row, so a row's features do not depend
+        on the block it is in.
+        """
+        u = np.concatenate((encodings, nuisance), axis=1)[:, :, None]
+        hidden = np.tanh(self.w1 @ u + self.b1[:, None])
+        return (self.w2 @ hidden + self.b2[:, None])[:, :, 0]
 
     def __call__(self, pose: Pose, nuisance: np.ndarray) -> np.ndarray:
         """Noise-free features for one (pose, nuisance) pair."""
@@ -160,40 +187,27 @@ class FeatureMap:
             raise ShapeMismatch(
                 f"nuisance shape {nuisance.shape} does not match spec ({self.spec.nuisance_dim},)"
             )
-        u = np.concatenate([self.encode_pose(pose), nuisance])
-        return self.w2 @ np.tanh(self.w1 @ u + self.b1) + self.b2
+        return self.features(self.encode_pose(pose)[None], nuisance[None])[0]
 
 
-def _quat_from_euler(yaw: float, pitch: float, roll: float):
-    """Unit quaternion for intrinsic z-y-x rotation, angles in radians."""
-    cy, sy = math.cos(yaw / 2.0), math.sin(yaw / 2.0)
-    cp, sp = math.cos(pitch / 2.0), math.sin(pitch / 2.0)
-    cr, sr = math.cos(roll / 2.0), math.sin(roll / 2.0)
-    return normalize(
-        (
-            cy * cp * cr + sy * sp * sr,
-            cy * cp * sr - sy * sp * cr,
-            cy * sp * cr + sy * cp * sr,
-            sy * cp * cr - cy * sp * sr,
+def _euler_quaternions(degrees: np.ndarray) -> np.ndarray:
+    """Raw (N, 4) quaternions of intrinsic z-y-x rotations given as (N, 3)
+    yaw, pitch, roll rows in degrees, one row at a time with ``math``."""
+    rows = []
+    for yaw, pitch, roll in degrees.tolist():
+        yaw, pitch, roll = math.radians(yaw), math.radians(pitch), math.radians(roll)
+        cy, sy = math.cos(yaw / 2.0), math.sin(yaw / 2.0)
+        cp, sp = math.cos(pitch / 2.0), math.sin(pitch / 2.0)
+        cr, sr = math.cos(roll / 2.0), math.sin(roll / 2.0)
+        rows.append(
+            (
+                cy * cp * cr + sy * sp * sr,
+                cy * cp * sr - sy * sp * cr,
+                cy * sp * cr + sy * cp * sr,
+                sy * cp * cr - cy * sp * sr,
+            )
         )
-    )
-
-
-def _sample_pose(spec: SceneSpec, rng: np.random.Generator, survey_bias: bool = False) -> Pose:
-    (x0, x1), (y0, y1), (z0, z1) = spec.extent
-    if survey_bias and rng.random() < _TRAIN_DENSE_FRACTION:
-        x = rng.uniform(x0, x0 + _TRAIN_DENSE_SPAN * (x1 - x0))
-    else:
-        x = rng.uniform(x0, x1)
-    position = Vec3(
-        x,
-        rng.uniform(y0, y1),
-        rng.uniform(z0, z1),
-    )
-    yaw = math.radians(rng.uniform(*spec.yaw_range_deg))
-    pitch = math.radians(rng.normal(0.0, spec.pitch_roll_std_deg))
-    roll = math.radians(rng.normal(0.0, spec.pitch_roll_std_deg))
-    return Pose(position, _quat_from_euler(yaw, pitch, roll))
+    return np.array(rows).reshape(-1, 4)
 
 
 def _check_injective(examples: Sequence[Example], limit: int = 1000) -> None:
@@ -212,6 +226,41 @@ def _check_injective(examples: Sequence[Example], limit: int = 1000) -> None:
             )
 
 
+def _example_block(
+    spec: SceneSpec, fmap: FeatureMap, split: str, start: int, rngs: Sequence[np.random.Generator]
+) -> list[Example]:
+    """Examples start, start + 1, ... of a split, one per generator."""
+    (x0, x1), (y0, y1), (z0, z1) = spec.extent
+    yaw_lo, yaw_hi = spec.yaw_range_deg
+    survey_bias = split == "train"
+    noise = spec.noise_sigma > 0.0
+    nuisance_end = 2 + spec.nuisance_dim
+    normals = np.empty((len(rngs), nuisance_end + (spec.feature_dim if noise else 0)))
+    uniforms = []
+    for rng, row in zip(rngs, normals):
+        if survey_bias and rng.random() < _TRAIN_DENSE_FRACTION:
+            x = rng.uniform(x0, x0 + _TRAIN_DENSE_SPAN * (x1 - x0))
+        else:
+            x = rng.uniform(x0, x1)
+        uniforms.append((x, rng.uniform(y0, y1), rng.uniform(z0, z1), rng.uniform(yaw_lo, yaw_hi)))
+        rng.standard_normal(out=row)
+    # normal(loc, scale) draws loc + scale * z; with loc 0 that is exact
+    # with or without a fused multiply-add, and turns a -0.0 into 0.0.
+    normals += 0.0
+    drawn = np.array(uniforms).reshape(-1, 4)
+    angles = np.column_stack((drawn[:, 3], 0.0 + spec.pitch_roll_std_deg * normals[:, :2]))
+    quaternions, error = normalize_rows(_euler_quaternions(angles))
+    if error is not None:
+        raise error
+    features = fmap.features(fmap.encode_poses(drawn[:, :3], quaternions), normals[:, 2:nuisance_end])
+    if noise:
+        features = features + normals[:, nuisance_end:] * spec.noise_sigma
+    return [
+        Example(f"{spec.scene_id}-{split}-{start + i:05d}", f, Pose(Vec3(*u[:3]), UnitQuaternion(*q)))
+        for i, (f, u, q) in enumerate(zip(features, uniforms, quaternions.tolist()))
+    ]
+
+
 def generate_scene(
     spec: SceneSpec,
     n_train: int = 2000,
@@ -226,6 +275,18 @@ def generate_scene(
     function of (generator_seed, split, index): its stream is
     ``derive_rng(generator_seed, split_tag, index)``, and
     :func:`derive_rngs` hashes a split's seeds together.
+
+    An example draws, in this order: for the train split a ``random()``
+    that picks the densely surveyed span; ``uniform`` x, y, z and yaw (in
+    degrees); then one ``standard_normal`` row of pitch, roll, the
+    nuisance values and, when ``noise_sigma > 0``, the feature noise.
+    The uniform draws stay scalar calls because numpy computes
+    ``lo + range * u`` in C, where it may be fused: rescaling ``random()``
+    output in numpy is not bit-safe on every platform.  ``normal(0, s)``
+    is ``0 + s * z``, exact fused or not, so the normals are one row.
+    Examples are made up to 256 at a time: the draws example by example,
+    the quaternions from Euler angles row by row with ``math``, then the
+    encoding and the feature map on the whole block.
     """
     if n_train < 1 or n_test < 1:
         raise InvalidSpec(f"split sizes must be >= 1, got train={n_train} test={n_test}")
@@ -235,16 +296,11 @@ def generate_scene(
     fmap = FeatureMap(spec)
     splits: dict[str, list[Example]] = {}
     for split, count in (("train", n_train), ("calib", n_calib), ("test", n_test)):
-        tag = _SPLIT_TAGS[split]
-        examples = []
-        for i, rng in enumerate(derive_rngs([(spec.generator_seed, tag)], 0, count)):
-            pose = _sample_pose(spec, rng, survey_bias=(split == "train"))
-            nuisance = rng.normal(size=spec.nuisance_dim)
-            features = fmap(pose, nuisance)
-            if spec.noise_sigma > 0.0:
-                features = features + rng.normal(size=spec.feature_dim) * spec.noise_sigma
-            examples.append(Example(f"{spec.scene_id}-{split}-{i:05d}", features, pose))
-        splits[split] = examples
+        rngs = derive_rngs([(spec.generator_seed, _SPLIT_TAGS[split])], 0, count)
+        splits[split] = []
+        for start in range(0, count, _BLOCK_EXAMPLES):
+            block = list(itertools.islice(rngs, _BLOCK_EXAMPLES))
+            splits[split] += _example_block(spec, fmap, split, start, block)
 
     if spec.noise_sigma == 0.0 and spec.aliasing_period is None:
         _check_injective(splits["train"])
@@ -345,6 +401,51 @@ def load_dataset(
     return SceneDataset(spec, loaded["train"], loaded["calib"], loaded["test"])
 
 
+def nearest_neighbours(train_embeddings, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each query row's nearest training row, and the Euclidean
+    distance to it, bit for bit as the exhaustive scan
+    ``d2 = ((train_embeddings - q) ** 2).sum(axis=1)`` gives
+    ``argmin(d2)`` and ``sqrt(d2[i])``: ties go to the lowest index.
+
+    The scan is pruned.  For a block of queries, the BLAS expansion
+    ``|e|^2 + |q|^2 - 2 q.e`` is within ``4 (d + 3) 2**-53 (|e| + |q|)^2``
+    (twice the rounding bound of the expansion and the scan together) plus
+    an underflow allowance of every row's scanned ``d2``.  A row whose
+    lower bound exceeds the least upper bound cannot be nearest and is
+    dropped; a row whose bounds are not finite always survives.  The
+    survivors are rescored with the scan's own expression.
+    """
+    emb = np.asarray(train_embeddings, dtype=float)
+    Q = np.asarray(queries, dtype=float)
+    if emb.ndim != 2 or len(emb) == 0:
+        raise ValueError(f"need a non-empty (rows, width) matrix of train embeddings, got shape {emb.shape}")
+    if Q.ndim != 2 or Q.shape[1] != emb.shape[1]:
+        raise ShapeMismatch(f"query shape {Q.shape} does not match train embeddings of width {emb.shape[1]}")
+    rel = 4.0 * (emb.shape[1] + 3) * 2.0**-53
+    # Underflow adds at most half the least subnormal per product.
+    floor = 4.0 * (emb.shape[1] + 3) * 2.0**-1074
+    index = np.empty(len(Q), dtype=np.intp)
+    dist = np.empty(len(Q))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        emb_sq = (emb * emb).sum(axis=1)
+        emb_norm = np.sqrt(emb_sq)
+        for lo in range(0, len(Q), _NN_BLOCK_QUERIES):
+            block = Q[lo : lo + _NN_BLOCK_QUERIES]
+            q_sq = (block * block).sum(axis=1)[:, None]
+            approx = (emb_sq + q_sq) - 2.0 * (block @ emb.T)
+            margin = rel * (emb_norm + np.sqrt(q_sq)) ** 2 + floor
+            upper = approx + margin
+            finite = np.isfinite(upper)
+            best = np.min(upper, axis=1, where=finite, initial=np.inf)
+            survive = ~finite | (approx - margin <= best[:, None])
+            for j, (q, rows) in enumerate(zip(block, survive), lo):
+                rows = np.flatnonzero(rows)
+                d2 = ((emb[rows] - q) ** 2).sum(axis=1)
+                k = int(np.argmin(d2))
+                index[j], dist[j] = rows[k], math.sqrt(d2[k])
+    return index, dist
+
+
 def nearest_neighbour_pose(
     train: Sequence[Example],
     query_embedding,
@@ -355,6 +456,7 @@ def nearest_neighbour_pose(
     ``train_embeddings`` holds one row per training example (any embedding:
     raw features or a network's penultimate activations).  Returns the
     matched pose and the Euclidean distance; ties go to the lowest index.
+    The one-query case of :func:`nearest_neighbours`.
     """
     if len(train) == 0:
         raise ValueError("train must not be empty")
@@ -364,6 +466,5 @@ def nearest_neighbour_pose(
         raise ShapeMismatch(
             f"embedding matrix shape {emb.shape} does not match {len(train)} examples of width {q.size}"
         )
-    d2 = ((emb - q) ** 2).sum(axis=1)
-    i = int(np.argmin(d2))
-    return train[i].pose, float(math.sqrt(d2[i]))
+    index, dist = nearest_neighbours(emb, q.reshape(1, -1))
+    return train[index[0]].pose, float(dist[0])

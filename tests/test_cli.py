@@ -45,7 +45,8 @@ def pipeline(tmp_path_factory):
 
 class TestSmokePipeline:
     def test_artifacts_exist(self, pipeline):
-        assert (pipeline["data"] / "spec.json").exists() or any(pipeline["data"].iterdir())
+        for name in ("scene.json", "train.txt", "calib.txt", "test.txt"):
+            assert (pipeline["data"] / name).stat().st_size > 0
         assert pipeline["net"].exists()
         assert pipeline["cal"].exists()
 
@@ -560,3 +561,16 @@ class TestNumericErrors:
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert "numerical failure" in err
+
+    def test_calib_query_without_scatter_exits_three(self, pipeline, capsys):
+        # At 4 samples, calib query 8 of the fixture scene draws no scatter.
+        out = pipeline["root"] / "flat.cal"
+        code = cli([
+            "calibrate", "--net", str(pipeline["net"]), "--data", str(pipeline["data"]),
+            "--samples", "4", "--seed", "4", "--out", str(out),
+        ])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "alpha-calib-00008" in err and "4 samples" in err
+        assert not out.exists()

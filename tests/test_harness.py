@@ -10,7 +10,7 @@ import scipy.stats
 from bayesreloc import harness
 from bayesreloc.calibration import MIN_POPULATION, calibrate
 from bayesreloc.detector import SceneModel
-from bayesreloc.errors import InsufficientPopulation, ParseError, ShapeMismatch
+from bayesreloc.errors import InsufficientPopulation, InsufficientVariance, ParseError, ShapeMismatch
 from bayesreloc.geometry import (
     Pose,
     UnitQuaternion,
@@ -34,7 +34,7 @@ from bayesreloc.harness import (
 )
 from bayesreloc.mc_posterior import MAX_NUM_SAMPLES, localize
 from bayesreloc.regressor import forward, pose_network
-from bayesreloc.scenes import SceneSpec, generate_scene
+from bayesreloc.scenes import SceneSpec, generate_scene, nearest_neighbour_pose
 from bayesreloc.seeding import derive_seed
 from bayesreloc.stats import median_low, pearson, rankdata, spearman
 
@@ -224,6 +224,12 @@ class TestRunEval:
         rec = run_eval(model, ds, num_samples=4, seed=0).records[0]
         assert rec.nn_feature_distance == 0.0
 
+    def test_nn_distance_matches_one_query_search(self, report, dataset):
+        train_emb = np.stack([ex.features for ex in dataset.train])
+        for rec, ex in zip(report.records, dataset.test, strict=True):
+            _, dist = nearest_neighbour_pose(dataset.train, ex.features, train_emb)
+            assert rec.nn_feature_distance == dist
+
 
 class TestRunCalibration:
     def test_matches_inline_loop(self, model, dataset):
@@ -234,6 +240,14 @@ class TestRunCalibration:
             traces.append((est.trans_trace, est.rot_trace))
             positions.append(est.trans_mean)
         assert model.calibration == calibrate(traces, dataset.spec.scene_id, positions)
+
+    @pytest.mark.parametrize("dropout, samples", [(0.0, 8), (0.5, 1)])
+    def test_query_without_scatter_raises(self, dataset, dropout, samples):
+        # No dropout, or a single pass, leaves every trace at zero.
+        net = pose_network(8, (16, 16), dropout, seed=3)
+        net.layers[-1].bias[3] = 1.0
+        with pytest.raises(InsufficientVariance, match=f"bench-calib-00000 .* over {samples} samples"):
+            run_calibration(net, dataset, samples, 77)
 
     def test_small_calib_split_raises(self, model, dataset):
         small = dataclasses.replace(dataset, calib=dataset.calib[: MIN_POPULATION - 1])

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayesreloc.errors import DegenerateQuaternion, InvalidSpec, ParseError, ShapeMismatch
 from bayesreloc.geometry import Pose, UnitQuaternion, Vec3
@@ -20,6 +22,7 @@ from bayesreloc.scenes import (
     load_examples,
     load_scene_spec,
     nearest_neighbour_pose,
+    nearest_neighbours,
     save_dataset,
     save_examples,
     save_scene_spec,
@@ -575,3 +578,76 @@ class TestNearestNeighbourPose:
             nearest_neighbour_pose([a], np.array([1.0, 2.0]), np.zeros((2, 2)))
         with pytest.raises(ShapeMismatch):
             nearest_neighbour_pose([a], np.array([1.0, 2.0, 3.0]), np.zeros((1, 2)))
+
+
+def _exhaustive_scan(emb, q):
+    d2 = ((emb - q) ** 2).sum(axis=1)
+    i = int(np.argmin(d2))
+    return i, math.sqrt(d2[i])
+
+
+# Scales from where squares underflow (to zero, or to a few subnormal
+# bits) to where they overflow to inf.
+_SCALES = [1e-300, 1e-162, 1e-160, 1e-3, 1.0, 1e3, 1e150, 1e160]
+
+
+@st.composite
+def _nn_problems(draw):
+    """Train and query rows built for ties: quarter-grid values (exact
+    distances), rows repeated from a small pool, per-row scales that mix
+    underflowing and overflowing squares, a common offset under which the
+    expansion loses the distances to cancellation, and counts around the
+    query block of 8."""
+    width = draw(st.integers(1, 5))
+    offset = draw(st.sampled_from([0.0, 1e4, 1e8]))
+    value = st.one_of(st.integers(-8, 8).map(lambda k: k / 4), st.floats(-2.0, 2.0))
+    fresh = st.builds(
+        lambda values, scale: [v * scale + offset for v in values],
+        st.lists(value, min_size=width, max_size=width),
+        st.sampled_from(_SCALES),
+    )
+    pool = draw(st.lists(fresh, min_size=1, max_size=5))
+    row = st.one_of(st.sampled_from(pool), fresh)
+    n_train = draw(st.one_of(st.sampled_from([1, 2, 8, 9]), st.integers(1, 60)))
+    n_query = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 16, 17]), st.integers(1, 30)))
+    emb = np.array(draw(st.lists(row, min_size=n_train, max_size=n_train)))
+    queries = np.array(draw(st.lists(row, min_size=n_query, max_size=n_query)))
+    return emb, queries
+
+
+class TestNearestNeighbours:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=_nn_problems())
+    def test_equals_exhaustive_scan(self, problem):
+        emb, queries = problem
+        index, dist = nearest_neighbours(emb, queries)
+        assert index.shape == dist.shape == (len(queries),)
+        with np.errstate(over="ignore", under="ignore"):
+            want = [_exhaustive_scan(emb, q) for q in queries]
+        assert index.tolist() == [i for i, _ in want]
+        assert dist.tolist() == [d for _, d in want]
+
+    def test_prunes_to_the_scan_on_scene_features(self):
+        ds = generate_scene(_small_spec(), n_train=300, n_calib=8, n_test=41)
+        emb = np.stack([ex.features for ex in ds.train])
+        queries = np.stack([ex.features for ex in ds.test + ds.train[:5]])
+        index, dist = nearest_neighbours(emb, queries)
+        for q, i, d in zip(queries, index.tolist(), dist.tolist()):
+            assert (i, d) == _exhaustive_scan(emb, q)
+        assert index[-5:].tolist() == [0, 1, 2, 3, 4]
+        assert dist[-5:].tolist() == [0.0] * 5
+
+    def test_non_finite_rows_survive(self):
+        emb = np.array([[0.0, 1.0], [np.inf, 0.0], [np.nan, 0.0], [0.0, 0.5]])
+        index, dist = nearest_neighbours(emb, np.array([[0.0, 0.0], [np.inf, 0.0], [np.nan, 0.0]]))
+        # argmin takes the first NaN, as the scan does
+        assert index.tolist() == [2, 1, 0]
+        assert dist[0] != dist[0] and dist[2] != dist[2]
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            nearest_neighbours(np.zeros((0, 2)), np.zeros((1, 2)))
+        with pytest.raises(ShapeMismatch):
+            nearest_neighbours(np.zeros((3, 2)), np.zeros((1, 3)))
+        with pytest.raises(ShapeMismatch):
+            nearest_neighbours(np.zeros((3, 2)), np.zeros(2))

@@ -5,20 +5,26 @@ it and scene generation must reproduce it bit for bit, whatever the path
 values, the block boundaries or the word count of an index or a prefix.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bayesreloc.seeding as seeding
-from bayesreloc.geometry import LossConfig, Pose, UnitQuaternion, Vec3
+from bayesreloc.geometry import LossConfig, Pose, UnitQuaternion, Vec3, normalize
 from bayesreloc.mc_posterior import localize_batch
 from bayesreloc.regressor import TrainConfig, draw_mask, draw_masks, pose_network, train
 from bayesreloc.scenes import (
+    _ORIENT_TWIST,
+    _POSITION_CENTER,
+    _POSITION_GAIN,
     _SPLIT_TAGS,
+    _TRAIN_DENSE_FRACTION,
+    _TRAIN_DENSE_SPAN,
     FeatureMap,
     SceneSpec,
-    _sample_pose,
     generate_scene,
 )
 from bayesreloc.seeding import _MAX_ROWS, derive_rng, derive_rngs
@@ -199,6 +205,55 @@ class TestDrawMasksBlocks:
             np.testing.assert_array_equal(row, draw_mask(net, seed, start + j))
 
 
+def _reference_pose(spec, rng, survey_bias):
+    """One example's pose, drawn with the generator's scalar calls."""
+    (x0, x1), (y0, y1), (z0, z1) = spec.extent
+    if survey_bias and rng.random() < _TRAIN_DENSE_FRACTION:
+        x = rng.uniform(x0, x0 + _TRAIN_DENSE_SPAN * (x1 - x0))
+    else:
+        x = rng.uniform(x0, x1)
+    position = Vec3(x, rng.uniform(y0, y1), rng.uniform(z0, z1))
+    yaw = math.radians(rng.uniform(*spec.yaw_range_deg))
+    pitch = math.radians(rng.normal(0.0, spec.pitch_roll_std_deg))
+    roll = math.radians(rng.normal(0.0, spec.pitch_roll_std_deg))
+    cy, sy = math.cos(yaw / 2.0), math.sin(yaw / 2.0)
+    cp, sp = math.cos(pitch / 2.0), math.sin(pitch / 2.0)
+    cr, sr = math.cos(roll / 2.0), math.sin(roll / 2.0)
+    quaternion = normalize(
+        (
+            cy * cp * cr + sy * sp * sr,
+            cy * cp * sr - sy * sp * cr,
+            cy * sp * cr + sy * cp * sr,
+            sy * cp * cr - cy * sp * sr,
+        )
+    )
+    return Pose(position, quaternion)
+
+
+def _reference_features(fmap, pose, nuisance):
+    """The feature map of one pose, with the encoding in scalar arithmetic."""
+    (x0, x1), (y0, y1), (z0, z1) = fmap.spec.extent
+    xr = pose.position.x - x0
+    if fmap.spec.aliasing_period is not None:
+        xr = xr % fmap.spec.aliasing_period
+    q = pose.orientation
+    tx = xr / (x1 - x0)
+    ty = (pose.position.y - y0) / (y1 - y0)
+    tz = (pose.position.z - z0) / (z1 - z0)
+    c, s = math.cos(_ORIENT_TWIST * tx), math.sin(_ORIENT_TWIST * tx)
+    encoding = [
+        _POSITION_GAIN * (tx - _POSITION_CENTER),
+        _POSITION_GAIN * (ty - _POSITION_CENTER),
+        _POSITION_GAIN * (tz - _POSITION_CENTER),
+        c * q.w - s * q.z,
+        c * q.x - s * q.y,
+        s * q.x + c * q.y,
+        s * q.w + c * q.z,
+    ]
+    u = np.concatenate([encoding, nuisance])
+    return fmap.w2 @ np.tanh(fmap.w1 @ u + fmap.b1) + fmap.b2
+
+
 def _reference_scene(spec, counts):
     """Every example drawn from its own derive_rng stream, one at a time."""
     fmap = FeatureMap(spec)
@@ -207,8 +262,8 @@ def _reference_scene(spec, counts):
         examples = []
         for i in range(count):
             rng = derive_rng(spec.generator_seed, _SPLIT_TAGS[split], i)
-            pose = _sample_pose(spec, rng, survey_bias=(split == "train"))
-            features = fmap(pose, rng.normal(size=spec.nuisance_dim))
+            pose = _reference_pose(spec, rng, survey_bias=(split == "train"))
+            features = _reference_features(fmap, pose, rng.normal(size=spec.nuisance_dim))
             if spec.noise_sigma > 0.0:
                 features = features + rng.normal(size=spec.feature_dim) * spec.noise_sigma
             examples.append((f"{spec.scene_id}-{split}-{i:05d}", features, pose))
@@ -217,18 +272,31 @@ def _reference_scene(spec, counts):
 
 
 class TestGenerateScene:
-    @settings(max_examples=8, deadline=None)
-    @given(generator_seed=st.one_of(st.just(2**40 + 7), st.integers(2**32, 2**64 + 2**40)))
-    def test_equals_reference_loop(self, generator_seed):
+    @settings(max_examples=12, deadline=None)
+    @given(
+        generator_seed=st.one_of(st.just(2**40 + 7), st.integers(2**32, 2**64 + 2**40)),
+        nuisance_dim=st.integers(0, 3),
+        noise_sigma=st.sampled_from([0.0, 0.02]),
+        aliasing_period=st.sampled_from([None, 3.0]),
+        yaw_range_deg=st.sampled_from([(-90.0, 90.0), (-180.0, 180.0), (10.0, 10.0)]),
+        pitch_roll_std_deg=st.sampled_from([0.0, 3.0]),
+        n_train=st.sampled_from([1, 30, 255, 256, 257]),
+    )
+    def test_equals_reference_loop(
+        self, generator_seed, nuisance_dim, noise_sigma, aliasing_period, yaw_range_deg, pitch_roll_std_deg, n_train
+    ):
         spec = SceneSpec(
             scene_id="ref",
             extent=((0.0, 10.0), (0.0, 5.0), (0.0, 2.0)),
             feature_dim=8,
-            nuisance_dim=2,
-            noise_sigma=0.02,
+            nuisance_dim=nuisance_dim,
+            noise_sigma=noise_sigma,
+            aliasing_period=aliasing_period,
             generator_seed=generator_seed,
+            yaw_range_deg=yaw_range_deg,
+            pitch_roll_std_deg=pitch_roll_std_deg,
         )
-        counts = (30, 8, 12)
+        counts = (n_train, 8, 12)
         dataset = generate_scene(spec, *counts)
         reference = _reference_scene(spec, counts)
         for split in ("train", "calib", "test"):
