@@ -175,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("hist", parents=[common], help="cumulative error histogram from an eval table")
+    # hist draws nothing at random, so it takes no --seed either.
+    p = sub.add_parser("hist", help="cumulative error histogram from an eval table")
     p.add_argument("--table", required=True, help="per-query table from eval")
     p.add_argument("--thresholds", default="0.5,1,2,5,10")
     p.add_argument("--out", required=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .calibration import CalibrationModel, ZScore, detection_score
 from .mc_posterior import DEFAULT_NUM_SAMPLES, _localize_stream
-from .regressor import NetworkParams
+from .regressor import NetworkParams, _check_input
 from .seeding import derive_seed
 
 CONFUSION_FORMAT = "bayesreloc-confusion-v1"
@@ -164,7 +164,10 @@ def confusion(
 
     counts = np.zeros((len(ids), len(ids)), dtype=int)
     if len(models) == 1:
-        # A lone candidate matches every query; there is nothing to score against.
+        # A lone candidate matches every query; there is nothing to score
+        # against, but a query its network cannot read is still refused.
+        for *_, x in queries:
+            _check_input(models[0].network, x)
         counts[0, 0] = len(queries)
     else:
         truth, masters, X = zip(*queries)

@@ -176,11 +176,10 @@ def rotation_error_deg(a: UnitQuaternion, b: UnitQuaternion) -> float:
 
 
 def hemisphere_aligned(rows) -> np.ndarray:
-    """A copy of unit quaternion rows, each sign-flipped into row 0's hemisphere."""
-    rows = np.array(rows, dtype=float)
-    flip = rows @ rows[0] < 0.0
-    rows[flip] = -rows[flip]
-    return rows
+    """A copy of unit quaternion rows, one (N, 4) block or a (Q, N, 4) stack,
+    each sign-flipped into its block's row 0 hemisphere (one gemv a block)."""
+    rows = np.asarray(rows, dtype=float)
+    return np.where(rows @ rows[..., 0, :, None] < 0.0, -rows, rows)
 
 
 def quaternion_mean(rows) -> UnitQuaternion:

@@ -10,19 +10,20 @@ statistics stay arrays; ``Vec3``, ``UnitQuaternion``, ``Pose`` and
 ``localize`` samples one query a pass at a time: the reference sampler
 and the timed online path.  ``localize_batch`` gives the same results,
 bit for bit, for many queries: the maskless trunk runs once per query,
-blocks of passes share one mask hash and cross the dropout layers
-together, and one array kernel (``estimate`` is its one-query case)
-computes each block's means and traces.  Detection reads such streams.
+and blocks of passes share one mask hash and cross the dropout layers
+together.  One statistics kernel reduces a block of queries, aligned by
+:func:`~bayesreloc.geometry.hemisphere_aligned`, to means and traces,
+and ``estimate`` is its one-query case.  Detection reads such streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BayesRelocError, DegenerateMean, DegenerateQuaternion, ShapeMismatch
+from .errors import DegenerateMean, DegenerateQuaternion, ShapeMismatch
 from .geometry import (
     NORM_FLOOR,
     UNIT_TOL,
@@ -46,7 +47,6 @@ _BLOCK_ROWS = 256
 # scatter; the channel then reports exactly zero trace and the common row
 # as its mean (averaging bit-identical rows would drift by an ulp).
 IDENTICAL_TOL = 1e-12
-_QUATERNION_COLUMNS = np.arange(POSE_WIDTH) >= 3
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,6 @@ class UncertaintyEstimate:
     degenerate: bool = False
 
 
-def _unit_rows(raw: np.ndarray) -> np.ndarray:
-    """One query's (N, 4) raw quaternion rows scaled to unit norm, as :func:`normalize` scales each."""
-    unit, error = normalize_rows(raw[None])
-    if error is not None:
-        raise error
-    return unit[0]
-
-
 def sample_posterior(
     net: NetworkParams,
     x,
@@ -108,7 +100,10 @@ def sample_posterior(
     outs = np.empty((num_samples, POSE_WIDTH))
     for i in range(num_samples):
         outs[i] = forward(net, x, draw_mask(net, master_seed, i))
-    return _sample_set(outs)
+    quaternions, error = normalize_rows(outs[:, 3:])
+    if error is not None:
+        raise error
+    return PoseSampleSet(np.ascontiguousarray(outs[:, :3]), hemisphere_aligned(quaternions))
 
 
 def _check_count(num_samples: int) -> None:
@@ -116,37 +111,20 @@ def _check_count(num_samples: int) -> None:
         raise ValueError(f"num_samples must be in [1, {MAX_NUM_SAMPLES}], got {num_samples}")
 
 
-def _sample_set(outs: np.ndarray) -> PoseSampleSet:
-    """The sample set of one query's (N, POSE_WIDTH) pass outputs."""
-    quaternions = hemisphere_aligned(_unit_rows(outs[:, 3:]))
-    return PoseSampleSet(np.ascontiguousarray(outs[:, :3]), quaternions)
+def _estimates(block: np.ndarray) -> Iterator[UncertaintyEstimate]:
+    """The :func:`estimate` of each query of a (Q, N, 7) block of positions
+    and unit quaternions, bit for bit.
 
-
-class _BlockStatistics(NamedTuple):
-    """The statistics of a block of Q queries of N samples each, as arrays."""
-
-    rows: np.ndarray  # (Q, N, 7), each query's quaternions aligned to its row 0
-    trans_mean: np.ndarray  # (Q, 3)
-    rot_mean: np.ndarray  # (Q, 4), sign-canonical; garbage where errors has the query
-    trans_trace: np.ndarray  # (Q,)
-    rot_trace: np.ndarray  # (Q,)
-    degenerate: np.ndarray  # (Q,) bool
-    errors: dict[int, BayesRelocError]  # what the rotation mean raises, by query
-
-
-def _block_statistics(block: np.ndarray) -> _BlockStatistics:
-    """The statistics :func:`estimate` reports for each query of a (Q, N, 7)
-    block of positions and unit quaternions, bit for bit.
-
-    Every reduction keeps the order of the one-query numpy calls it
-    replaces: sums and means run down the sample axis, the hemisphere dot
-    and the mean's norm are stacked matmuls (a gemv and a dot per query),
-    and :func:`normalize` is replayed component by component.
+    The block is reduced when its first query is asked for, and each
+    estimate is built when its query is reached, so a query whose rotation
+    is unusable raises after the queries before it.  Every reduction keeps
+    the order of the one-query numpy calls it replaces: sums and means run
+    down the sample axis, the hemisphere dot and the mean's norm are
+    stacked matmuls (a gemv and a dot per query), and :func:`normalize` is
+    replayed component by component.
     """
     count = block.shape[1]
-    quats = block[..., 3:]
-    flip = (quats @ quats[:, 0, :, None] < 0.0) & _QUATERNION_COLUMNS
-    rows = np.where(flip, -block, block)
+    rows = np.concatenate((block[..., :3], hemisphere_aligned(block[..., 3:])), axis=2)
     spread = np.abs(rows - rows[:, :1]).max(axis=1)
     pos_identical = spread[:, :3].max(axis=1) <= IDENTICAL_TOL
     rot_identical = spread[:, 3:].max(axis=1) <= IDENTICAL_TOL
@@ -161,15 +139,7 @@ def _block_statistics(block: np.ndarray) -> _BlockStatistics:
         rot = np.where(rot_identical[:, None], rows[:, 0, 3:], rot)
         norm = np.where(rot_identical, quaternion_norms(rows[:, 0, 3:]), norm)
         fault = np.where(rot_identical, ~(np.isfinite(norm) & (norm > NORM_FLOOR)), fault)
-    errors: dict[int, BayesRelocError] = {}
-    for q in np.flatnonzero(fault).tolist():
-        n = float(norm[q])
-        if rot_identical[q]:
-            errors[q] = DegenerateQuaternion(f"quaternion norm {n!r} is unusable (floor {NORM_FLOOR})")
-        else:
-            errors[q] = DegenerateMean(f"aligned quaternion mean has norm {n!r}")
-        norm[q] = 1.0  # the query raises; this keeps its division quiet
-    rot = rot / norm[:, None]
+    rot = rot / np.where(fault, 1.0, norm)[:, None]  # a faulty query raises; 1.0 keeps its division quiet
     lead = rot[np.arange(len(rot)), np.argmax(rot != 0.0, axis=1)]
     rot = np.where(lead[:, None] < 0.0, -rot, rot)
 
@@ -181,19 +151,15 @@ def _block_statistics(block: np.ndarray) -> _BlockStatistics:
     rot_trace = np.where(rot_identical, 0.0, var[:, 3:].sum(axis=1))
     trans_mean = np.where(pos_identical[:, None], rows[:, 0, :3], mean[:, :3])
     degenerate = (trans_trace == 0.0) & (rot_trace == 0.0)
-    return _BlockStatistics(rows, trans_mean, rot, trans_trace, rot_trace, degenerate, errors)
-
-
-def _estimates(block: np.ndarray) -> Iterator[UncertaintyEstimate]:
-    """The :func:`estimate` of each query of a block, built when it is
-    reached, so a query that raises does so after the ones before it."""
-    s = _block_statistics(block)
-    queries = zip(*(a.tolist() for a in (s.trans_mean, s.rot_mean, s.trans_trace, s.rot_trace, s.degenerate)))
-    for q, (trans_mean, rot_mean, trans_trace, rot_trace, degenerate) in enumerate(queries):
-        position = Vec3(*trans_mean)
-        if q in s.errors:
-            raise s.errors[q]
-        yield UncertaintyEstimate(trans_trace, rot_trace, position, UnitQuaternion(*rot_mean), degenerate)
+    queries = zip(*(a.tolist() for a in (trans_mean, rot, trans_trace, rot_trace, degenerate, fault)))
+    for q, (t_mean, r_mean, t_trace, r_trace, degen, faulty) in enumerate(queries):
+        position = Vec3(*t_mean)
+        if faulty:
+            n = float(norm[q])
+            if rot_identical[q]:
+                raise DegenerateQuaternion(f"quaternion norm {n!r} is unusable (floor {NORM_FLOOR})")
+            raise DegenerateMean(f"aligned quaternion mean has norm {n!r}")
+        yield UncertaintyEstimate(t_trace, r_trace, position, UnitQuaternion(*r_mean), degen)
 
 
 def estimate(samples: PoseSampleSet) -> UncertaintyEstimate:

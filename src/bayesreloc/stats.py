@@ -3,21 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from statistics import median_low  # noqa: F401  element (n-1)//2 of the sorted values, never interpolated
 
 import numpy as np
-
-
-def median_low(values: Sequence[float]) -> float:
-    """The lower median: element (n-1)//2 of the sorted values.
-
-    No interpolation for even counts, so the median is always a value that
-    actually occurred.
-    """
-    v = sorted(values)
-    if not v:
-        raise ValueError("median of an empty sequence")
-    return float(v[(len(v) - 1) // 2])
 
 
 def rankdata(values) -> np.ndarray:

@@ -346,6 +346,17 @@ class TestUsageErrors:
         assert "usage error" in err and "--samples" in err
         assert not list(tmp_path.iterdir())
 
+    def test_hist_takes_no_seed(self, tmp_path, capsys):
+        # hist draws nothing at random, so a --seed would be ignored
+        code = cli([
+            "hist", "--table", str(tmp_path / "missing.tsv"), "--seed", "12345",
+            "--out", str(tmp_path / "h.tsv"),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--seed" in err
+        assert not list(tmp_path.iterdir())
+
     def test_sweep_needs_a_repetition(self, pipeline, tmp_path, capsys):
         code = cli([
             "sweep", "--net", str(pipeline["net"]), "--data", str(pipeline["data"]),
@@ -394,6 +405,27 @@ class TestDataErrors:
         ])
         assert code == EXIT_DATA
         assert "feature_dim" in capsys.readouterr().err
+
+    def test_single_scene_detect_on_feature_width_mismatch(self, pipeline, tmp_path, capsys):
+        # The lone scene's 32-wide network cannot read a split regenerated
+        # with 8-wide features: a data error, and no confusion file.
+        doc = json.loads((pipeline["data"] / "scene.json").read_text())
+        doc["feature_dim"] = 8
+        spec_path = tmp_path / "narrow.json"
+        spec_path.write_text(json.dumps(doc))
+        narrow = tmp_path / "narrow"
+        assert cli([
+            "gen", "--spec", str(spec_path), "--train", "4", "--calib", "12", "--test", "3",
+            "--out", str(narrow),
+        ]) == EXIT_OK
+        out = tmp_path / "confusion.txt"
+        code = cli([
+            "detect", "--scene", "alpha", str(pipeline["net"]), str(pipeline["cal"]), str(narrow),
+            "--samples", "4", "--out", str(out),
+        ])
+        assert code == EXIT_DATA
+        assert "does not match network input" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_hist_on_corrupt_table(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"

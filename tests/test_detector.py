@@ -1,5 +1,7 @@
 """Tests for lowest-uncertainty scene recognition."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from bayesreloc.detector import (
     detect,
     format_confusion,
 )
+from bayesreloc.errors import ShapeMismatch
 from bayesreloc.geometry import LossConfig
 from bayesreloc.mc_posterior import localize
 from bayesreloc.harness import run_calibration
@@ -267,6 +270,17 @@ class TestConfusionMatrix:
         m = confusion([model], {"only": queries}, num_samples=6, seed=0)
         assert m.counts[0, 0] == 5
         assert m.accuracy == 1.0
+
+    @pytest.mark.parametrize("bad, error", [(np.zeros(3), ShapeMismatch), ("garbage", ValueError), ({}, TypeError)])
+    def test_single_scene_checks_its_queries(self, bad, error):
+        # A lone model has nothing to score against, but it refuses a query
+        # its network cannot read as a pair of models would.
+        model = _toy_model("only")
+        queries = {"only": [np.zeros(6), bad]}
+        with pytest.raises(error) as pair:
+            confusion([model, _toy_model("other", seed=2)], queries, num_samples=6, seed=0)
+        with pytest.raises(error, match=f"^{re.escape(str(pair.value))}$"):
+            confusion([model], queries, num_samples=6, seed=0)
 
     def test_row_sums_conserve_queries(self):
         models = [_toy_model("a", seed=1), _toy_model("b", seed=2)]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayesreloc.errors import DegenerateMean, DegenerateQuaternion
 from bayesreloc.geometry import (
@@ -11,7 +13,9 @@ from bayesreloc.geometry import (
     Pose,
     UnitQuaternion,
     Vec3,
+    hemisphere_aligned,
     normalize,
+    normalize_rows,
     pose_loss,
     quaternion_mean,
     rotation_error_deg,
@@ -129,6 +133,89 @@ class TestNormalize:
         # just above the floor still works
         q = normalize((1e-11, 0.0, 0.0, 0.0))
         assert q.w == 1.0
+
+
+class TestNormalizeRows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.one_of(st.floats(allow_nan=True), st.sampled_from([0.0, -0.0, 1e-13]))] * 4),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_one_block_matches_normalize(self, rows):
+        raw = np.array(rows, dtype=float)
+        unit, error = normalize_rows(raw)
+        try:
+            want = np.stack([normalize(row).as_array() for row in raw])
+        except DegenerateQuaternion as e:
+            assert type(error) is DegenerateQuaternion and str(error) == str(e)
+            return
+        assert error is None
+        assert unit.tobytes() == want.tobytes()
+
+
+def _flipped(rows):
+    """One block's rows flipped toward row 0, one boolean mask at a time."""
+    rows = np.array(rows, dtype=float)
+    flip = rows @ rows[0] < 0.0
+    rows[flip] = -rows[flip]
+    return rows
+
+
+HALF = [0.5, 0.5, 0.5, 0.5]
+# Rows whose dot with HALF is exactly zero: two whose products cancel, and
+# rows of -0.0 and of +0.0 (a sum of -0.0 products is -0.0 added in order,
+# +0.0 as matmul adds them from +0.0); neither sign flips.  Last, a NaN row,
+# whose NaN dot does not flip either.
+EDGE_ROWS = [
+    [0.5, -0.5, 0.5, -0.5],
+    [-0.5, 0.5, -0.5, 0.5],
+    [-0.0, -0.0, -0.0, -0.0],
+    [0.0, 0.0, 0.0, 0.0],
+    [math.nan, 0.5, 0.5, 0.5],
+]
+
+
+@st.composite
+def quaternion_stacks(draw):
+    """(Q, N, 4) stacks of unit rows, some replaced by edge rows, row 0
+    included, and some blocks led by HALF so the zero dots occur."""
+    q, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.normal(size=(q, n, 4))
+    stack /= np.linalg.norm(stack, axis=2, keepdims=True)
+    for b in range(q):
+        if draw(st.booleans()):
+            stack[b, 0] = HALF
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+            stack[b, i] = draw(st.sampled_from(EDGE_ROWS))
+    return stack
+
+
+class TestHemisphereAligned:
+    def test_edge_rows_do_not_flip(self):
+        rows = np.array([HALF, *EDGE_ROWS])
+        dots = rows @ rows[0]
+        assert (dots[1:5] == 0.0).all() and math.isnan(dots[5])
+        assert hemisphere_aligned(rows).tobytes() == rows.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack=quaternion_stacks())
+    def test_stack_matches_one_block_calls(self, stack):
+        want = np.stack([_flipped(block) for block in stack])
+        assert np.stack([hemisphere_aligned(block) for block in stack]).tobytes() == want.tobytes()
+        assert hemisphere_aligned(stack).tobytes() == want.tobytes()
+        # as the statistics kernel calls it, on the quaternion columns of pose rows
+        poses = np.concatenate((np.zeros(stack.shape[:2] + (3,)), stack), axis=2)
+        assert hemisphere_aligned(poses[..., 3:]).tobytes() == want.tobytes()
+
+    def test_returns_a_copy(self):
+        rows = np.array([HALF, [-0.5, -0.5, -0.5, -0.5]])
+        aligned = hemisphere_aligned(rows)
+        assert aligned.tolist() == [HALF, HALF]
+        assert rows[1, 0] == -0.5
 
 
 class TestPoseLoss:

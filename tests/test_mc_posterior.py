@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from test_regressor import _fast_path_nets
 
 from bayesreloc.errors import DegenerateMean, DegenerateQuaternion, ShapeMismatch
-from bayesreloc.geometry import UNIT_TOL, Pose, UnitQuaternion, Vec3, normalize
+from bayesreloc.geometry import UNIT_TOL, Pose, UnitQuaternion, Vec3, hemisphere_aligned, normalize
 from bayesreloc.mc_posterior import (
     DEFAULT_NUM_SAMPLES,
     IDENTICAL_TOL,
@@ -25,9 +25,7 @@ from bayesreloc.mc_posterior import (
     PoseSampleSet,
     UncertaintyEstimate,
     _BLOCK_ROWS,
-    _block_statistics,
     _estimates,
-    _unit_rows,
     estimate,
     estimate_determinant,
     localize,
@@ -207,24 +205,6 @@ class TestArrayPathMatchesReference:
         assert got.positions.tobytes() == want.positions.tobytes()
         assert got.quaternions.tobytes() == want.quaternions.tobytes()
 
-    @SETTINGS
-    @given(
-        rows=st.lists(
-            st.tuples(*[st.one_of(st.floats(allow_nan=True), st.sampled_from([0.0, -0.0, 1e-13]))] * 4),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    def test_unit_rows_match_normalize(self, rows):
-        raw = np.array(rows, dtype=float)
-        try:
-            want = np.stack([normalize(row).as_array() for row in raw])
-        except DegenerateQuaternion as e:
-            with pytest.raises(DegenerateQuaternion, match=re.escape(str(e))):
-                _unit_rows(raw)
-            return
-        assert _unit_rows(raw).tobytes() == want.tobytes()
-
 
 def _cancelling_set(n, position=0.0):
     """n samples whose aligned quaternion mean is exactly zero: a zero first
@@ -247,6 +227,12 @@ def blocks(draw):
     if cancel_at is not None:
         sets[cancel_at] = _cancelling_set(n, draw(st.sampled_from([0.0, np.nan])))
     return sets
+
+
+def _zero_set(n):
+    """n samples whose quaternion rows are all zero: an identical set that
+    normalize rejects."""
+    return PoseSampleSet(np.zeros((n, 3)), np.zeros((n, 4)))
 
 
 def _block_of(sets):
@@ -273,13 +259,12 @@ class TestBlockStatistics:
         block = _block_of(sets)
         want = _outcomes(_reference_estimate(s) for s in sets)
         assert _outcomes(_estimates(block)) == want
-        aligned = _block_statistics(block).rows
+        aligned = hemisphere_aligned(block[..., 3:])
         for s, rows in zip(sets, aligned):
             quats = s.quaternions.copy()
             flip = quats @ quats[0] < 0.0
             quats[flip] = -quats[flip]
-            assert rows[:, :3].tobytes() == s.positions.tobytes()
-            assert np.ascontiguousarray(rows[:, 3:]).tobytes() == quats.tobytes()
+            assert rows.tobytes() == quats.tobytes()
 
     def test_error_comes_after_the_queries_before_it(self):
         rng = np.random.default_rng(5)
@@ -288,6 +273,23 @@ class TestBlockStatistics:
         assert [_bits(next(stream)) for _ in range(2)] == [_bits(estimate(s)) for s in sets[:2]]
         with pytest.raises(DegenerateMean, match="aligned quaternion mean has norm 0.0"):
             next(stream)
+
+    @pytest.mark.parametrize(
+        "second, third, error, text",
+        [
+            (_cancelling_set, _zero_set, DegenerateMean, "aligned quaternion mean has norm 0.0"),
+            (_zero_set, _cancelling_set, DegenerateQuaternion, "quaternion norm 0.0 is unusable"),
+        ],
+        ids=["mean-then-zero-rows", "zero-rows-then-mean"],
+    )
+    def test_only_the_first_failing_query_raises(self, second, third, error, text):
+        rng = np.random.default_rng(9)
+        sets = [_cloud(rng, 6), _cloud(rng, 6), second(6), _cloud(rng, 6), third(6), _cloud(rng, 6)]
+        stream = _estimates(_block_of(sets))
+        assert [_bits(next(stream)) for _ in range(2)] == [_bits(estimate(s)) for s in sets[:2]]
+        with pytest.raises(error, match=text):
+            next(stream)
+        assert next(stream, None) is None
 
     @pytest.mark.parametrize("n, error", [(1, DegenerateQuaternion), (2, DegenerateQuaternion), (5, DegenerateMean)])
     def test_cancelling_set(self, n, error):
