@@ -9,12 +9,15 @@ Monte Carlo sampling are therefore exactly reproducible.
 A mask is one float row per pass: the keep/drop vectors of the dropout
 layers end to end, in layer order.  ``draw_mask`` is the reference
 derivation of one row, drawn once per pass by one-query Monte Carlo
-sampling; ``draw_masks`` hashes a training batch's seeds together and
-gives the same rows as one block, and batched Monte Carlo sampling
-draws the rows of a block of queries the same way; that block's pass
-outputs come back as one query-major array, which ``mc_posterior``
-reduces to every query's statistics in one call.  One layer loop serves
-every pass, and ``train`` stacks the dataset into arrays once.
+sampling; ``draw_masks`` hashes the seeds of a run of passes together
+and gives the same rows as one block.  Training draws an epoch's rows
+in runs of at most 1,024 counters, read across batch boundaries, and
+batched Monte Carlo sampling draws the rows of a block of queries the
+same way; that block's pass outputs come back as one query-major array,
+which ``mc_posterior`` reduces to every query's statistics in one call.
+One layer loop serves every pass; it takes masks pre-scaled by
+1 / (1 - p), so a dropout layer costs one multiply.  ``train`` stacks
+the dataset into arrays once.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .geometry import NORM_FLOOR, LossConfig, Pose
-from .seeding import derive_rng, derive_rngs
+from .seeding import _MAX_ROWS, derive_rng, derive_rngs
 
 POSE_WIDTH = 7
 CHECKPOINT_FORMAT = "bayesreloc-net-v1"
@@ -201,12 +204,20 @@ def _split_masks(net: NetworkParams, block: np.ndarray) -> list[np.ndarray]:
     return vectors
 
 
-def _mask_block(net: NetworkParams, rngs, count: int) -> np.ndarray:
-    """Keep/drop rows from the first ``count`` generators, one row each."""
+def _keep_scale(net: NetworkParams) -> float:
+    """The inverted-dropout factor 1 / (1 - p) of a kept unit."""
+    return 1.0 / (1.0 - net.dropout_p)
+
+
+def _mask_block(net: NetworkParams, rngs, count: int, keep: float = 1.0) -> np.ndarray:
+    """Rows from the next ``count`` generators of ``rngs``, one row each
+    (the rest stay unread): 0 drops a unit, ``keep`` keeps it."""
     block = np.empty((count, sum(_mask_widths(net))))
     for row, rng in zip(block, rngs):
         rng.random(out=row)
-    return np.greater_equal(block, net.dropout_p, out=block)
+    np.greater_equal(block, net.dropout_p, out=block)
+    block *= keep
+    return block
 
 
 def draw_masks(net: NetworkParams, master_seed: int, start: int, count: int) -> np.ndarray:
@@ -215,7 +226,8 @@ def draw_masks(net: NetworkParams, master_seed: int, start: int, count: int) -> 
     Row j holds :func:`draw_mask` (master_seed, start + j)'s vectors end
     to end, dropout layers in order; 0 drops the unit, 1 keeps it.  The
     block's streams come from :func:`derive_rngs`, which hashes their
-    seeds together: training draws one block per batch.
+    seeds together; training draws an epoch's rows the same way, in runs
+    of at most ``_MAX_ROWS`` (1,024) counters.
     """
     return _mask_block(net, derive_rngs([(master_seed,)], start, count), count)
 
@@ -255,13 +267,15 @@ def _propagate(net: NetworkParams, a: np.ndarray, layers: Sequence[Layer], masks
     """The layer loop behind every pass, on one input row or a batch of rows.
 
     ``masks`` (or None) holds one vector or block per dropout layer among
-    ``layers``.  ``trace`` collects (input, pre-activation, activation).
+    ``layers``, pre-scaled: 0 drops a unit and 1 / (1 - p) keeps it.  As
+    every unscaled entry is exactly 0 or 1, ``a * m`` rounds as
+    ``(a * m01) * (1 / (1 - p))`` does.  ``trace`` collects (input,
+    pre-activation, activation).
     """
-    scale = 1.0 / (1.0 - net.dropout_p)
     mi = 0
     for layer in layers:
         if layer.spec.has_dropout and masks is not None:
-            a = a * masks[mi] * scale
+            a = a * masks[mi]
             mi += 1
         z = a @ layer.weights.T + layer.bias
         a_out = np.maximum(z, 0.0) if layer.spec.activation == "relu" else z
@@ -277,7 +291,7 @@ def forward(net: NetworkParams, x, mask: np.ndarray | None = None) -> np.ndarray
     ``mask`` is None or one row laid out as :func:`draw_mask` returns it.
     """
     a = _check_input(net, x)
-    masks = None if mask is None else _split_masks(net, _check_masks(net, mask))
+    masks = None if mask is None else _split_masks(net, _check_masks(net, mask) * _keep_scale(net))
     return _propagate(net, a, net.layers, masks)
 
 
@@ -307,7 +321,8 @@ def _stochastic_passes(
     a = trunks[:, None, None, :]
     head = net.layers[_first_dropout(net) :]
     if head:
-        masks = _mask_block(net, derive_rngs([(m,) for m in master_seeds], 0, count), len(trunks) * count)
+        rngs = derive_rngs([(m,) for m in master_seeds], 0, count)
+        masks = _mask_block(net, rngs, len(trunks) * count, _keep_scale(net))
         a = _propagate(net, a, head, _split_masks(net, masks.reshape(len(trunks), count, 1, -1)))
     return np.broadcast_to(a, (len(trunks), count, 1, POSE_WIDTH)).reshape(-1, POSE_WIDTH)
 
@@ -340,11 +355,10 @@ def _gradient(net: NetworkParams, x, pos, quat, masks: np.ndarray | None, beta: 
     """Gradient of the mean pose loss over the rows of x, pos and quat.
 
     ``masks`` is None or a block laid out as :func:`draw_masks` returns it,
-    one row per example.
+    one row per example, pre-scaled as :func:`_propagate` takes it.
     """
     n = len(x)
     vectors = None if masks is None else _split_masks(net, masks)
-    scale = 1.0 / (1.0 - net.dropout_p)
 
     trace: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     out = _propagate(net, x, net.layers, vectors, trace)
@@ -365,7 +379,7 @@ def _gradient(net: NetworkParams, x, pos, quat, masks: np.ndarray | None, beta: 
             break
         d_prev = d_z @ layer.weights
         if layer.spec.has_dropout and vectors is not None:
-            d_prev = d_prev * vectors[mi] * scale
+            d_prev = d_prev * vectors[mi]
             mi -= 1
         d_act = d_prev
 
@@ -398,12 +412,19 @@ def loss_gradient(
         raise ValueError("batch must not be empty")
     x, pos, quat = _stack_examples(net, batch)
     if masks is not None:
-        masks = _check_masks(net, masks, (len(batch),))
+        masks = _check_masks(net, masks, (len(batch),)) * _keep_scale(net)
     return _gradient(net, x, pos, quat, masks, config.beta)
 
 
 def _param_arrays(net: NetworkParams) -> list[np.ndarray]:
     return [a for layer in net.layers for a in (layer.weights, layer.bias)]
+
+
+def _run_rngs(master_seed: int, start: int, count: int):
+    """``derive_rng(master_seed, start + j)`` for j < count, hashed in
+    runs of at most ``_MAX_ROWS`` counters, so its memory is bounded."""
+    for lo in range(0, count, _MAX_ROWS):
+        yield from derive_rngs([(master_seed,)], start + lo, min(_MAX_ROWS, count - lo))
 
 
 def train(net: NetworkParams, dataset: Sequence[TrainExample], config: TrainConfig) -> TrainResult:
@@ -412,7 +433,8 @@ def train(net: NetworkParams, dataset: Sequence[TrainExample], config: TrainConf
     The input network is left untouched.  Example order reshuffles every
     epoch from the config seed, and each example's dropout mask comes from
     (seed, global example counter), so a rerun reproduces the exact same
-    parameter trajectory.
+    parameter trajectory.  Epoch e's masks are the :func:`draw_masks`
+    rows of counters e * n, ..., e * n + n - 1, read across batches.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must not be empty")
@@ -421,25 +443,27 @@ def train(net: NetworkParams, dataset: Sequence[TrainExample], config: TrainConf
     arrays = _param_arrays(params)
     velocity = [np.zeros_like(a) for a in arrays]
     has_dropout = len(_mask_widths(params)) > 0
+    keep = _keep_scale(params)
     n = len(dataset)
-    counter = 0
     epoch_losses = []
     for epoch in range(config.epochs):
         order = derive_rng(config.seed, 0, epoch).permutation(n)
+        rngs = _run_rngs(config.seed, epoch * n, n)
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            masks = draw_masks(params, config.seed, counter, len(idx)) if has_dropout else None
-            counter += len(idx)
-
+            masks = _mask_block(params, rngs, len(idx), keep) if has_dropout else None
             grads = _gradient(params, x[idx], pos[idx], quat[idx], masks, config.loss.beta)
             if not math.isfinite(grads.mean_loss):
                 raise NonFiniteLoss(f"loss became {grads.mean_loss!r} at epoch {epoch}")
             loss_sum += grads.mean_loss * len(idx)
 
+            # In place, with the roundings of vel = momentum * vel - lr * step.
             steps = [g for pair in grads.layers for g in pair]
             for param, vel, step in zip(arrays, velocity, steps):
-                vel[...] = config.momentum * vel - config.learning_rate * step
+                vel *= config.momentum
+                step *= config.learning_rate
+                vel -= step
                 param += vel
         epoch_losses.append(loss_sum / n)
     return TrainResult(net=params, epoch_losses=epoch_losses)
@@ -463,7 +487,8 @@ def _layer_from_dict(d: dict) -> Layer:
 def _write_json(f, obj) -> None:
     """Write the text of ``json.dumps(obj)`` piece by piece.
 
-    Lists of lists or dicts go one element at a time: json.dumps on a whole
+    A list whose first element is a list or dict goes one element at a
+    time (the text is json.dumps' either way): json.dumps on a whole
     checkpoint holds every number's text at once (~3 MB for a 128x128
     trunk), and json.dump runs the pure-Python encoder at half the speed.
     """
@@ -473,7 +498,7 @@ def _write_json(f, obj) -> None:
             f.write(f"{', ' if i else ''}{json.dumps(key)}: ")
             _write_json(f, value)
         f.write("}")
-    elif isinstance(obj, list) and any(isinstance(v, (list, dict)) for v in obj):
+    elif isinstance(obj, list) and obj and isinstance(obj[0], (list, dict)):
         f.write("[")
         for i, value in enumerate(obj):
             f.write(", " if i else "")

@@ -11,10 +11,11 @@ of consecutive last indices after each of several prefixes.  Most of
 ``derive_rng``'s cost is the ``SeedSequence`` hash, which is 32-bit
 arithmetic, so it runs the hash for many paths at once as numpy array
 operations and hands each row's state to ``PCG64`` through
-``ISeedSequence``.  Training batches, scene splits and batched Monte
-Carlo sampling (a block of queries' masks) draw through it.  The block
-hash has a fixed cost of several ``derive_rng`` calls, so single draws,
-such as the one mask per pass of one-query ``localize``, stay on
+``ISeedSequence``.  Training (an epoch's masks, in runs of at most
+``_MAX_ROWS`` counters read across batches), scene splits and batched
+Monte Carlo sampling (a block of queries' masks) draw through it.  The
+block hash has a fixed cost of several ``derive_rng`` calls, so single
+draws, such as the one mask per pass of one-query ``localize``, stay on
 ``derive_rng``.
 """
 

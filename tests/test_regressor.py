@@ -16,8 +16,12 @@ from bayesreloc.errors import (
 )
 from bayesreloc.geometry import LossConfig, Pose, UnitQuaternion, Vec3, normalize, pose_loss
 from bayesreloc.regressor import (
+    CHECKPOINT_FORMAT,
     LayerSpec,
     TrainConfig,
+    _stochastic_passes,
+    _trunk,
+    _write_json,
     build_network,
     draw_mask,
     draw_masks,
@@ -138,6 +142,26 @@ def _reference_train(net, dataset, config):
                 b += v_b
         epoch_losses.append(loss_sum / len(dataset))
     return params, epoch_losses
+
+
+def _reference_masked_pass(net, a, mask):
+    """forward's layer loop with the dropout multiply written out as
+    (a * m) * (1 / (1 - p)) on an unscaled 0/1 mask row."""
+    scale = 1.0 / (1.0 - net.dropout_p)
+    lo = 0
+    for layer in net.layers:
+        if layer.spec.has_dropout:
+            a = (a * mask[lo : lo + layer.spec.input_width]) * scale
+            lo += layer.spec.input_width
+        z = a @ layer.weights.T + layer.bias
+        a = np.maximum(z, 0.0) if layer.spec.activation == "relu" else z
+    return a
+
+
+def _same_bits(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBuildNetwork:
@@ -395,6 +419,41 @@ class TestForward:
                 forward(net, c * x, mask), c * forward(net, x, mask), atol=1e-12
             )
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("hidden", [None, math.inf, -math.inf, math.nan])
+    def test_prescaled_masks_match_unscaled_multiply(self, p, hidden):
+        # Both layers take dropout and the hidden one is identity, so the
+        # first dropout layer sees the input rows' -0.0, +-inf and NaN as
+        # they are, and the second sees a hidden unit's non-finite bias.
+        net = build_network(
+            [
+                LayerSpec(6, 9, has_dropout=True, activation="identity"),
+                LayerSpec(9, 7, has_dropout=True, activation="identity"),
+            ],
+            p,
+            seed=8,
+        )
+        if hidden is not None:
+            net.layers[0].bias[4] = hidden
+        X = np.random.default_rng(6).normal(size=(5, 6))
+        X[1, ::2] = -0.0
+        X[2, 1] = math.inf
+        X[3, 3] = -math.inf
+        X[4, 5] = math.nan
+        masters, count = [3, 2**40, 7, 11, 0], 6
+        for q, x in enumerate(X):
+            for i in range(count):
+                mask = draw_mask(net, masters[q], i)
+                _same_bits(forward(net, x, mask), _reference_masked_pass(net, x, mask))
+        trunks = np.stack([_trunk(net, x) for x in X])
+        want = [
+            _reference_masked_pass(net, x, draw_mask(net, m, i))
+            for x, m in zip(X, masters)
+            for i in range(count)
+        ]
+        _same_bits(_stochastic_passes(net, trunks, masters, count), np.stack(want))
+
     def test_expectation_consistency(self):
         # inverted scaling makes the masked estimator unbiased on a linear
         # layer: the mean over many masks matches the maskless pass
@@ -579,6 +638,28 @@ class TestTrain:
             np.testing.assert_array_equal(got.weights, want.weights)
             np.testing.assert_array_equal(got.bias, want.bias)
 
+    @pytest.mark.parametrize("batch_size", [32, 100])
+    @pytest.mark.parametrize("name", ["aux_dropout", "no_dropout", "p_zero"])
+    def test_matches_reference_loop_across_mask_runs(self, name, batch_size):
+        # Each epoch's 1,100 counters span two mask runs (1,024 + 76) and
+        # end in a partial batch; at batch 100 a batch also straddles the
+        # runs.  A degenerate pass aborts both loops alike: at batch 100,
+        # aux_dropout meets one, and both must raise it.
+        net = _fast_path_nets()[name]
+        data = _random_batch(np.random.default_rng(37), 6, 1100)
+        cfg = TrainConfig(1e-3, batch_size, 2, LossConfig(2.0), seed=13)
+        try:
+            result = train(net, data, cfg)
+        except DegenerateQuaternion:
+            with pytest.raises(DegenerateQuaternion):
+                _reference_train(net, data, cfg)
+            return
+        ref_net, ref_losses = _reference_train(net, data, cfg)
+        assert result.epoch_losses == ref_losses
+        for got, want in zip(result.net.layers, ref_net.layers):
+            np.testing.assert_array_equal(got.weights, want.weights)
+            np.testing.assert_array_equal(got.bias, want.bias)
+
     def test_linear_fixture_converges(self):
         # one identity layer fitting an exactly-linear map with dropout off:
         # least squares says loss 0 is attainable, so 200 epochs of SGD must
@@ -619,6 +700,37 @@ class TestTrain:
 
 
 class TestCheckpoint:
+    def test_file_is_json_dumps_of_the_document(self, tmp_path):
+        net = pose_network(4, (5,), 0.5, seed=1)
+        path = tmp_path / "net.json"
+        save_checkpoint(path, net)
+        doc = {
+            "format": CHECKPOINT_FORMAT,
+            "dropout_p": 0.5,
+            "seed": 1,
+            "layers": [
+                {
+                    "input_width": layer.spec.input_width,
+                    "output_width": layer.spec.output_width,
+                    "has_dropout": layer.spec.has_dropout,
+                    "activation": layer.spec.activation,
+                    "weights": layer.weights.tolist(),
+                    "bias": layer.bias.tolist(),
+                }
+                for layer in net.layers
+            ],
+        }
+        with open(path, encoding="utf-8", newline="") as f:
+            assert f.read() == json.dumps(doc) + "\n"
+
+    @pytest.mark.parametrize(
+        "value", [[1.0, [2.0], {"a": [1]}], [], [[], [1.5]], {"k": [{"a": 1}, 2.5]}]
+    )
+    def test_write_json_writes_json_dumps(self, value):
+        f = io.StringIO()
+        _write_json(f, value)
+        assert f.getvalue() == json.dumps(value)
+
     def test_round_trip(self, tmp_path):
         net = pose_network(9, (20, 14), 0.5, seed=600)
         path = tmp_path / "net.json"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bayesreloc.regressor as regressor
 import bayesreloc.seeding as seeding
 from bayesreloc.geometry import LossConfig, Pose, UnitQuaternion, Vec3, normalize
 from bayesreloc.mc_posterior import localize_batch
@@ -131,18 +132,32 @@ class TestDeriveRngGrid:
 
 
 class TestHashCallsPerCaller:
-    """Each caller's traffic takes the fewest hashes its word counts allow:
-    one per training batch, one per _MAX_ROWS rows of a scene split and one
-    per word count of a Monte Carlo block."""
+    """Each caller's traffic takes the fewest hashes its word counts allow
+    with bounded memory: one per run of at most _MAX_ROWS counters of a
+    training epoch, whatever the batch size, one per _MAX_ROWS rows of a
+    scene split and one per word count of a Monte Carlo block."""
 
-    def test_training_hashes_once_per_batch(self, monkeypatch):
+    def _train(self, n, monkeypatch):
         # Wide enough that no pass drops a whole layer.
         net = pose_network(5, (32, 32), 0.5, seed=3)
         pose = Pose(Vec3(1.0, 2.0, 0.5), UnitQuaternion(1.0, 0.0, 0.0, 0.0))
-        data = [(x, pose) for x in np.random.default_rng(0).normal(size=(70, 5))]
+        data = [(x, pose) for x in np.random.default_rng(0).normal(size=(n, 5))]
         shapes = _hash_shapes(monkeypatch)
         train(net, data, TrainConfig(1e-3, 32, 2, LossConfig(beta=50.0), seed=4))
-        assert shapes == [(2, 32), (2, 32), (2, 6)] * 2
+        return shapes
+
+    def test_training_hashes_once_per_epoch_run(self, monkeypatch):
+        assert self._train(70, monkeypatch) == [(2, 70)] * 2
+
+    def test_training_epoch_longer_than_max_rows(self, monkeypatch):
+        # The runs, not only their hashes, stop at _MAX_ROWS counters: the
+        # seeds kept for an unread run's generators are bounded too.
+        runs = []
+        real = regressor.derive_rngs
+        monkeypatch.setattr(regressor, "derive_rngs", lambda p, s, c: runs.append((s, c)) or real(p, s, c))
+        n = _MAX_ROWS + 76
+        assert self._train(n, monkeypatch) == [(2, _MAX_ROWS), (2, n - _MAX_ROWS)] * 2
+        assert runs == [(0, _MAX_ROWS), (_MAX_ROWS, 76), (n, _MAX_ROWS), (n + _MAX_ROWS, 76)]
 
     def test_scene_hashes_a_split_in_max_rows_pieces(self, monkeypatch):
         spec = SceneSpec(scene_id="calls", feature_dim=4, nuisance_dim=1, generator_seed=5)
